@@ -321,11 +321,10 @@ assert taped == untaped, "taped serving diverged from --no-tape serving"
 print(f"taped serving equivalence ok ({len(taped)} queries, bitwise)")
 EOF
 
-# Sharded fleet under fire: two supervised workers behind a router,
-# driven by a short mixed loadtest while one worker is SIGKILLed
-# mid-load.  The run must see zero failed requests (router retry +
-# journal replay), the supervisor must respawn the worker, and the
-# fleet must acknowledge a clean /shutdown.
+# Sharded fleet under fire: two supervised workers behind a router, one
+# SIGKILLed mid-load.  No request may fail (router retry + journal
+# replay), the supervisor must respawn the worker, a mixed loadtest must
+# then run clean, and the fleet must acknowledge a clean /shutdown.
 python -m repro serve --city city.npz --checkpoint ckpt --scale tiny \
     --workers 2 --shard-by area-slot --port 0 --fleet-run-dir fleet_run \
     --log-level debug --log-file "$LOG" > fleet.out &
@@ -346,17 +345,86 @@ if [ -z "$WORKER_PID" ]; then
     echo "smoke FAILED: could not find fleet worker 0 pid" >&2
     exit 1
 fi
-( sleep 1; kill -9 "$WORKER_PID" 2>/dev/null || true ) &
-KILLER_PID=$!
-# Exits 1 if any of the 400 concurrent requests fails — the kill must
-# cost latency, never a request.  --batch 32 adds a second leg that
-# folds the same stream into /predict_batch wire calls (recorded as
-# serving.fleet.batch.*) plus a bitwise batch-vs-single cross-check
-# (serving.batch.identical must be 1.0 or loadtest exits 1).
+# Four clients replay the loadtest's mixed predict/observe stream through
+# the router from before the kill until after the respawn: the kill waits
+# for their first replies and the stop for the respawn, so requests are
+# in flight across the outage however fast the fleet answers.  The kill
+# must cost latency, never a request.
+python - "$FLEET_PORT" "$WORKER_PID" <<'EOF'
+import os, signal, sys, threading, time
+
+from repro.config import tiny_scale
+from repro.serving import generate_ops
+from repro.serving.router import TRANSPORT_ERRORS, request_json
+
+address = f"127.0.0.1:{sys.argv[1]}"
+worker_pid = int(sys.argv[2])
+ops = generate_ops(tiny_scale(), 400, observe_fraction=0.2, seed=0)
+clients = 4
+killed, respawned, stop = threading.Event(), threading.Event(), threading.Event()
+first_reply = threading.Semaphore(0)
+lock = threading.Lock()
+after_kill = [0] * clients
+after_respawn = [0] * clients
+failures = []
+
+def client(index):
+    n = 0
+    while not stop.is_set():
+        path, body = ops[(index + clients * n) % len(ops)]
+        started_after_kill = killed.is_set()
+        started_after_respawn = respawned.is_set()
+        try:
+            status, payload = request_json(address, "POST", path, body, timeout=60)
+            if status != 200:
+                failures.append((path, body, status, payload))
+        except TRANSPORT_ERRORS as error:
+            failures.append((path, body, repr(error)))
+        with lock:
+            after_kill[index] += started_after_kill
+            after_respawn[index] += started_after_respawn
+        if n == 0:
+            first_reply.release()
+        n += 1
+
+threads = [threading.Thread(target=client, args=(i,), daemon=True)
+           for i in range(clients)]
+for thread in threads:
+    thread.start()
+for _ in range(clients):
+    assert first_reply.acquire(timeout=60), "no reply before the kill"
+os.kill(worker_pid, signal.SIGKILL)
+killed.set()
+deadline = time.monotonic() + 60
+while True:
+    _, stats = request_json(address, "GET", "/stats", timeout=30)
+    if stats["fleet"]["respawns"] >= 1 and all(w["ready"] for w in stats["workers"]):
+        break
+    assert time.monotonic() < deadline, f"no respawn within 60s: {stats}"
+    time.sleep(0.2)
+respawned.set()
+while True:
+    with lock:
+        if min(after_respawn) >= 1:
+            break
+    assert time.monotonic() < deadline, "clients stalled after the respawn"
+    time.sleep(0.01)
+stop.set()
+for thread in threads:
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "client hung through the kill"
+assert not failures, failures[:5]
+assert min(after_kill) >= 1, after_kill
+print(f"fleet kill under load ok ({sum(after_kill)} requests sent after "
+      f"the SIGKILL, 0 failed)")
+EOF
+# Exits 1 if any of the 400 concurrent requests fails.  --batch 32 adds a
+# second leg that folds the same stream into /predict_batch wire calls
+# (recorded as serving.fleet.batch.*) plus a bitwise batch-vs-single
+# cross-check (serving.batch.identical must be 1.0 or loadtest exits 1).
 run loadtest --url "http://127.0.0.1:$FLEET_PORT" --scale tiny \
     --requests 400 --concurrency 4 --observe-fraction 0.2 \
     --batch 32 --bench-out fleet_bench.json
-wait "$KILLER_PID"
 
 # Batch transport parity through the router: one /predict_batch call
 # spanning both shards must answer bitwise what per-item /predict says

@@ -44,14 +44,15 @@ def apply_environment_scalers(example_set: "ExampleSet") -> None:
     Shared by the bulk builder (after fitting scalers on train) and the
     online query featurizer (:class:`repro.core.GapPredictor`), which reuses
     the training set's scalers — both paths must transform identically for
-    online predictions to match batch predictions bitwise.
+    online predictions to match batch predictions bitwise.  The builder
+    hands in float32 values and the featurizer float64 ones, so both are
+    cast to float32 first (with Python-float scalers, NumPy then does the
+    arithmetic in float32 for both).
     """
     for name in ("temperature", "pm25"):
-        mean, std = example_set.scalers[name]
-        values = getattr(example_set, name)
-        setattr(
-            example_set, name, ((values - mean) / std).astype(np.float32)
-        )
+        mean, std = (float(v) for v in example_set.scalers[name])
+        values = getattr(example_set, name).astype(np.float32, copy=False)
+        setattr(example_set, name, (values - mean) / std)
 
 
 @dataclass

@@ -193,6 +193,11 @@ class FleetSupervisor:
                     )
                 except TRANSPORT_ERRORS:
                     pass
+        # Release every pooled keep-alive connection to the workers,
+        # whichever thread opened it, BEFORE waiting on them: each idle
+        # connection pins a worker handler thread, and the worker's
+        # server_close would wait its full handler_join_timeout for it.
+        close_pools()
         deadline = time.monotonic() + timeout
         for worker in self.workers:
             if worker.proc is None:
@@ -207,9 +212,6 @@ class FleetSupervisor:
                 except subprocess.TimeoutExpired:
                     worker.proc.kill()
                     worker.proc.wait(timeout=5.0)
-        # Release every pooled keep-alive connection to the (now dead)
-        # workers, whichever thread opened it.
-        close_pools()
         _log.event("fleet.stopped", respawns=self.respawns)
 
     def __enter__(self) -> "FleetSupervisor":

@@ -119,6 +119,10 @@ def make_threaded_handler(app, logger, log_event: str):
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every accepted connection (set by the stdlib's
+        # StreamRequestHandler.setup), so no reply — the stdlib's own
+        # send_error ones included — waits on the peer's delayed ACK.
+        disable_nagle_algorithm = True
 
         def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
             self._dispatch("GET")
@@ -179,8 +183,14 @@ def make_threaded_handler(app, logger, log_event: str):
             self.send_response(response.status)
             self.send_header("Content-Type", response.content_type)
             self.send_header("Content-Length", str(len(response.data)))
-            self.end_headers()
-            self.wfile.write(response.data)
+            # Status line, headers and body leave in one sendall: written
+            # as two, Nagle would hold the body back until the peer's
+            # delayed ACK of the headers (~40 ms per reply).
+            if self.request_version != "HTTP/0.9":
+                self._headers_buffer.extend((b"\r\n", response.data))
+                self.flush_headers()
+            else:
+                self.wfile.write(response.data)
 
         def log_message(self, format: str, *args) -> None:  # noqa: A002
             # Route access logs into the structured logger at debug level

@@ -37,7 +37,10 @@ from repro.serving import (
     generate_ops,
     shard_for,
 )
+from repro.serving.http import _JoiningHTTPServer
 from repro.serving.router import request_json, request_text
+
+from .fleet_load import kill_under_load
 
 pytestmark = pytest.mark.serving
 
@@ -287,57 +290,54 @@ def test_killed_worker_respawns_and_no_request_fails(
         "values": {"level_counts": [9, 4, 2, 1]},
     }
 
-    def client(seed):
-        ops = generate_ops(scale, 25, observe_fraction=0.0, seed=seed)
-        for _, body in ops:
-            try:
-                status, payload = request_json(
-                    address, "POST", "/predict", body, timeout=60.0
-                )
-            except Exception as error:  # noqa: BLE001 — recorded, asserted
-                failures.append((body, repr(error)))
-                continue
-            if status != 200:
-                failures.append((body, payload))
-            else:
-                local = reference.predict(
-                    body["area"], body["day"], body["timeslot"]
-                )
-                if payload["gap"] != local.gap:
-                    mismatches.append((body, payload["gap"], local.gap))
+    client_ops = [
+        generate_ops(scale, 25, observe_fraction=0.0, seed=seed)
+        for seed in (11, 22, 33)
+    ]
+
+    def send(client, n):
+        ops = client_ops[client]
+        _, body = ops[n % len(ops)]
+        try:
+            status, payload = request_json(
+                address, "POST", "/predict", body, timeout=60.0
+            )
+        except Exception as error:  # noqa: BLE001 — recorded, asserted
+            failures.append((body, repr(error)))
+            return
+        if status != 200:
+            failures.append((body, payload))
+        else:
+            local = reference.predict(
+                body["area"], body["day"], body["timeslot"]
+            )
+            if payload["gap"] != local.gap:
+                mismatches.append((body, payload["gap"], local.gap))
+
+    def observe_while_dead():
+        # An observation while the worker is dead: reaches the live
+        # worker now and the dead one via journal replay after respawn.
+        # No client query reads this traffic minute, so the clients can
+        # compare against the reference while it lands.
+        status, _ = request_json(address, "POST", "/observe", mid_kill_observe)
+        assert status == 200
+        _observe_locally(reference, mid_kill_observe)
 
     try:
         status, _ = request_json(address, "POST", "/observe", pre_kill_observe)
         assert status == 200
         _observe_locally(reference, pre_kill_observe)
 
-        threads = [
-            threading.Thread(target=client, args=(seed,), daemon=True)
-            for seed in (11, 22, 33)
-        ]
-        for thread in threads:
-            thread.start()
-        time.sleep(0.3)
         victim = fleet.workers[0]
-        victim.proc.kill()  # SIGKILL: no cleanup, no goodbye
-
-        # An observation while the worker is dead: reaches the live
-        # worker now and the dead one via journal replay after respawn.
-        status, _ = request_json(address, "POST", "/observe", mid_kill_observe)
-        assert status == 200
-        _observe_locally(reference, mid_kill_observe)
-
-        for thread in threads:
-            thread.join(timeout=120)
-            assert not thread.is_alive(), "client hung through the kill"
+        # The clients keep sending from their first replies until after
+        # the respawn, so the kill always lands mid-load.
+        after_kill = kill_under_load(
+            fleet, victim, send, clients=len(client_ops),
+            on_kill=observe_while_dead,
+        )
+        assert min(after_kill) >= 1, after_kill
         assert not failures, failures
         assert not mismatches, mismatches
-
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline and not (
-            fleet.respawns >= 1 and victim.ready.is_set()
-        ):
-            time.sleep(0.1)
         assert fleet.respawns >= 1
         assert victim.ready.is_set()
         assert victim.generation == 2
@@ -363,6 +363,49 @@ def test_killed_worker_respawns_and_no_request_fails(
         server_thread.join(timeout=10)
         fleet.shutdown()
         reference.close()
+
+
+def test_shutdown_with_warm_router_connections_skips_handler_join(
+    city_path, checkpoint, tmp_path_factory
+):
+    """The router's idle keep-alive connections are closed before the
+    fleet waits on its workers, so no worker's ``server_close`` spends
+    its whole ``handler_join_timeout`` on their handler threads."""
+    fleet = FleetSupervisor(
+        FleetConfig(
+            city=city_path,
+            checkpoint=str(checkpoint),
+            scale="tiny",
+            workers=2,
+            shard_by="area-slot",
+            run_dir=str(tmp_path_factory.mktemp("fleet2_shutdown_run")),
+        ),
+        registry=MetricsRegistry(),
+    )
+    fleet.start()
+    server = build_router(fleet)
+    server_thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server_thread.start()
+    address = "127.0.0.1:%d" % server.server_address[1]
+    try:
+        # Warm router->worker connections to both shards.
+        items = [{"area": a, "day": 1, "timeslot": 100 + a} for a in range(6)]
+        shards = {fleet.shard_for_query(i["area"], i["timeslot"]) for i in items}
+        assert shards == {0, 1}
+        status, _ = request_json(
+            address, "POST", "/predict_batch", {"items": items}
+        )
+        assert status == 200
+        started = time.monotonic()
+        fleet.shutdown()
+        elapsed = time.monotonic() - started
+        assert all(worker.proc.poll() is not None for worker in fleet.workers)
+    finally:
+        server.shutdown()
+        server.server_close()
+        server_thread.join(timeout=10)
+        fleet.shutdown()
+    assert elapsed < _JoiningHTTPServer.handler_join_timeout, elapsed
 
 
 # ----------------------------------------------------------------------

@@ -143,6 +143,22 @@ def test_truncated_content_length_is_400_not_hang(served):
     assert "12 of 100" in error
 
 
+def test_http09_request_gets_the_bare_body(served):
+    """An HTTP/0.9 ``GET`` is answered with the body alone (no status
+    line, no headers) and the connection closes."""
+    base, service = served
+    port = int(base.rsplit(":", 1)[1])
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(b"GET /healthz\r\n\r\n")
+        raw = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            raw += chunk
+    assert json.loads(raw) == {"status": "ok", "version": service.version}
+
+
 def test_unknown_path_is_404(served):
     base, _ = served
     with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -9,7 +9,6 @@ singles; and a SIGKILLed worker mid-batch-load costs zero failed items.
 """
 
 import threading
-import time
 
 import pytest
 
@@ -24,6 +23,8 @@ from repro.serving import (
     close_pools,
 )
 from repro.serving.router import request_json
+
+from .fleet_load import kill_under_load
 
 pytestmark = pytest.mark.serving
 
@@ -187,45 +188,37 @@ def test_killed_worker_mid_batch_costs_zero_items(
     failures = []
     mismatches = []
 
-    def client(seed):
-        for round_index in range(6):
-            items = _some_items(scale, 16, offset=seed + 37 * round_index)
-            try:
-                status, payload = request_json(
-                    address, "POST", "/predict_batch", {"items": items},
-                    timeout=120.0,
-                )
-            except Exception as error:  # noqa: BLE001 — recorded, asserted
-                failures.append((seed, round_index, repr(error)))
-                continue
-            if status != 200 or len(payload.get("results", [])) != len(items):
-                failures.append((seed, round_index, payload))
-                continue
-            for item, result in zip(items, payload["results"]):
-                local = reference.predict(
-                    item["area"], item["day"], item["timeslot"]
-                )
-                if result["gap"] != local.gap:
-                    mismatches.append((item, result["gap"], local.gap))
+    seeds = (5, 105, 205)
+
+    def send(client, round_index):
+        seed = seeds[client]
+        items = _some_items(scale, 16, offset=seed + 37 * round_index)
+        try:
+            status, payload = request_json(
+                address, "POST", "/predict_batch", {"items": items},
+                timeout=120.0,
+            )
+        except Exception as error:  # noqa: BLE001 — recorded, asserted
+            failures.append((seed, round_index, repr(error)))
+            return
+        if status != 200 or len(payload.get("results", [])) != len(items):
+            failures.append((seed, round_index, payload))
+            return
+        for item, result in zip(items, payload["results"]):
+            local = reference.predict(
+                item["area"], item["day"], item["timeslot"]
+            )
+            if result["gap"] != local.gap:
+                mismatches.append((item, result["gap"], local.gap))
 
     try:
-        threads = [
-            threading.Thread(target=client, args=(seed,), daemon=True)
-            for seed in (5, 105, 205)
-        ]
-        for thread in threads:
-            thread.start()
-        time.sleep(0.25)
         victim = fleet.workers[0]
-        victim.proc.kill()  # SIGKILL mid-batch: no cleanup, no goodbye
-        for thread in threads:
-            thread.join(timeout=180)
-            assert not thread.is_alive(), "client hung through the kill"
+        # SIGKILL mid-batch: the clients keep sending from their first
+        # replies until after the respawn.
+        after_kill = kill_under_load(fleet, victim, send, clients=len(seeds))
+        assert min(after_kill) >= 1, after_kill
         assert not failures, failures
         assert not mismatches, mismatches
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline and not victim.ready.is_set():
-            time.sleep(0.1)
         assert fleet.respawns >= 1
         assert victim.ready.is_set()
     finally:

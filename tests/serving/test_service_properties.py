@@ -9,11 +9,14 @@ deduplication, caching and threading are invisible in the numbers.
 
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import GapPredictor, GapQuery, Trainer
+from repro.features import FeatureBuilder
+from repro.obs import MetricsRegistry
 from repro.serving import PredictionService, ServingConfig
 
 pytestmark = pytest.mark.serving
@@ -107,3 +110,25 @@ def test_batched_responses_match_single_queries(
             )
     finally:
         service.close()
+
+
+def test_served_gaps_equal_trainer_predict_on_builder_test_rows(
+    checkpoint, dataset, scale
+):
+    """The online featurizer and the bulk builder standardise the
+    environment identically, so serving the whole test split answers
+    bit for bit what ``Trainer.predict`` says on ``build_test`` rows."""
+    trainer = Trainer.from_checkpoint(checkpoint)
+    test_set = FeatureBuilder(dataset, scale.features).build_test(
+        trainer.serving_meta["feature_scalers"]
+    )
+    queries = list(zip(
+        test_set.area_ids.tolist(),
+        test_set.day_ids.tolist(),
+        test_set.time_ids.tolist(),
+    ))
+    with PredictionService.from_checkpoint(
+        checkpoint, dataset, scale.features, registry=MetricsRegistry()
+    ) as service:
+        served = np.array([r.gap for r in service.predict_batch(queries)])
+    assert np.array_equal(served, trainer.predict(test_set))
