@@ -10,21 +10,15 @@ PR regenerates it, and ``scripts/smoke.sh`` fails if any recorded
 throughput regresses more than :data:`REGRESSION_FACTOR`× against the
 committed baseline.
 
-The train-epoch section times the same model/optimizer arithmetic under
-both batch-delivery strategies — the historical per-batch fancy indexing
-(:func:`repro.core.make_batch` per step) and the current once-per-epoch
-permutation gather (:class:`repro.core.batching.EpochBatches`) — so the
-batching change's effect stays visible in the trajectory.  The
-train-epoch, inference and serving sections additionally run a taped leg
-(``*.taped.*`` metric families) through the execution tape
-(:mod:`repro.nn.tape`), recording the speedup ratio and a bitwise
-``identical`` cross-check against the untaped leg; the serving taped leg
-also enables the vectorized featurizer and the eager batcher flush, i.e.
-the full current serving defaults, while the untaped leg replicates the
-historical stack.  The experiment
-section re-runs the same task set in fresh caches both ways and records
-whether the results matched bitwise, making every bench run also a
-determinism check.
+Every timed section runs the stack that ships: the execution tape
+(:mod:`repro.nn.tape`) for training and inference, and the default
+:class:`repro.serving.ServingConfig` for serving.  Module dispatch stays
+the tape's trace source and fallback, so the train-epoch, inference and
+serving sections each also make one untimed module-dispatch pass and
+record a bitwise ``*.taped.identical`` cross-check against it.  The
+experiment section re-runs the same task set in fresh caches both ways
+and records whether the results matched bitwise, making every bench run
+also a determinism check.
 
 All numbers are honest wall-clock measurements on the current machine;
 the parallel speedup in particular scales with available cores
@@ -87,38 +81,16 @@ def bench_featurization(scale_name: str) -> Dict[str, float]:
     }
 
 
-def _legacy_epoch(model, train_set, optimizer, loss_fn, rng, batch_size):
-    """The pre-optimisation inner loop, replicated exactly: per-batch
-    fancy indexing of every field, and the per-step ``model.parameters()``
-    walk through the gradient-norm measurement."""
-    from .core import batch_targets, make_batch
-    from .nn import Tensor, clip_gradients, iterate_minibatches
-
-    total = 0.0
-    for indices in iterate_minibatches(
-        train_set.n_items, batch_size, shuffle=True, rng=rng
-    ):
-        batch = make_batch(train_set, indices)
-        targets = batch_targets(train_set, indices)
-        optimizer.zero_grad()
-        loss = loss_fn(model(batch), Tensor(targets))
-        loss.backward()
-        clip_gradients(model.parameters(), float("inf"))
-        optimizer.step()
-        total += loss.item()
-    return total
-
-
 def bench_train_epoch(scale_name: str, epochs: int = 2) -> Dict[str, float]:
-    """Train-epoch throughput: legacy loop, epoch-gather, and taped.
+    """Taped train-epoch throughput, plus a bitwise module-dispatch check.
 
-    All three paths run identical arithmetic (same model seed, same
-    shuffle stream); the ``identical`` metric asserts that by comparing
-    the untaped and taped runs' final weights bitwise.  The taped leg's
-    time includes the one-off trace cost — honest for short runs.
+    Both runs do identical arithmetic (same model seed, same shuffle
+    stream); ``train_epoch.taped.identical`` compares their final weights
+    bitwise.  Only the taped run is timed, and its time includes the
+    one-off trace cost — honest for short runs.
     """
     from .core import BasicDeepSD, InputScales, Trainer, TrainingConfig
-    from .nn import Adam, losses
+    from .nn import Adam
 
     scale = get_scale(scale_name)
     with _cache_dir():
@@ -128,7 +100,11 @@ def bench_train_epoch(scale_name: str, epochs: int = 2) -> Dict[str, float]:
         train_set = context.train_set
         n_areas = context.dataset.n_areas
 
-    def fresh_model():
+    config = TrainingConfig(epochs=epochs, best_k=1, seed=1)
+
+    def trainer_run(use_tape: bool):
+        """Trainer epochs, each timed into a quantile sketch so the
+        trajectory records tail latency, not just the mean."""
         model = BasicDeepSD(
             n_areas,
             scale.features.window_minutes,
@@ -138,24 +114,6 @@ def bench_train_epoch(scale_name: str, epochs: int = 2) -> Dict[str, float]:
         )
         model.input_scales = InputScales.from_example_set(train_set)
         model.train()
-        return model
-
-    config = TrainingConfig(epochs=epochs, best_k=1, seed=1)
-    loss_fn = losses.get(config.loss)
-
-    # Legacy path: per-batch make_batch gathers.
-    model = fresh_model()
-    optimizer = Adam(model.parameters(), lr=config.learning_rate)
-    rng = np.random.default_rng(config.seed)
-    started = time.perf_counter()
-    for _ in range(epochs):
-        _legacy_epoch(model, train_set, optimizer, loss_fn, rng, config.batch_size)
-    legacy_seconds = time.perf_counter() - started
-
-    def trainer_run(use_tape: bool):
-        """Trainer epochs, each timed into a quantile sketch so the
-        trajectory records tail latency, not just the mean."""
-        model = fresh_model()
         trainer = Trainer(model, config, use_tape=use_tape)
         optimizer = Adam(model.parameters(), lr=config.learning_rate)
         rng = np.random.default_rng(config.seed)
@@ -167,38 +125,20 @@ def bench_train_epoch(scale_name: str, epochs: int = 2) -> Dict[str, float]:
             sketch.observe(time.perf_counter() - epoch_started)
         return model, time.perf_counter() - started, sketch
 
-    # Current module-dispatch path: once-per-epoch permutation gather.
-    model, gather_seconds, epoch_sketch = trainer_run(use_tape=False)
-    # Taped path: same gathers, forward/backward/optimizer replayed
-    # through the execution tape.
-    taped_model, taped_seconds, taped_sketch = trainer_run(use_tape=True)
-    state, taped_state = model.state_dict(), taped_model.state_dict()
+    module_model, _, _ = trainer_run(use_tape=False)
+    model, seconds, sketch = trainer_run(use_tape=True)
+    state, module_state = model.state_dict(), module_model.state_dict()
     identical = all(
-        np.array_equal(state[name], taped_state[name]) for name in state
+        np.array_equal(state[name], module_state[name]) for name in state
     )
 
     items = float(train_set.n_items * epochs)
     return {
         "train_epoch.items": items,
         "train_epoch.epochs": float(epochs),
-        "train_epoch.batch_gather.seconds": legacy_seconds,
-        "train_epoch.batch_gather.items_per_sec": (
-            items / legacy_seconds if legacy_seconds else 0.0
-        ),
-        "train_epoch.seconds": gather_seconds,
-        "train_epoch.items_per_sec": items / gather_seconds if gather_seconds else 0.0,
-        "train_epoch.speedup_vs_batch_gather": (
-            legacy_seconds / gather_seconds if gather_seconds else 0.0
-        ),
-        "train_epoch.p95_ms": _quantile_ms(epoch_sketch, 0.95),
-        "train_epoch.taped.seconds": taped_seconds,
-        "train_epoch.taped.items_per_sec": (
-            items / taped_seconds if taped_seconds else 0.0
-        ),
-        "train_epoch.taped.speedup": (
-            gather_seconds / taped_seconds if taped_seconds else 0.0
-        ),
-        "train_epoch.taped.p95_ms": _quantile_ms(taped_sketch, 0.95),
+        "train_epoch.seconds": seconds,
+        "train_epoch.items_per_sec": items / seconds if seconds else 0.0,
+        "train_epoch.p95_ms": _quantile_ms(sketch, 0.95),
         "train_epoch.taped.identical": float(identical),
     }
 
@@ -210,11 +150,8 @@ def _quantile_ms(histogram: Histogram, q: float) -> float:
 
 
 def bench_inference(scale_name: str) -> Dict[str, float]:
-    """Single-pass prediction throughput over the train set.
-
-    Module dispatch vs the forward execution tape, with a bitwise
-    ``identical`` cross-check of the two output arrays.
-    """
+    """Single-pass taped prediction throughput over the train set, with a
+    bitwise ``identical`` check against one module-dispatch pass."""
     from .core import BasicDeepSD, InputScales, Trainer
 
     scale = get_scale(scale_name)
@@ -232,50 +169,36 @@ def bench_inference(scale_name: str) -> Dict[str, float]:
         seed=1,
     )
     model.input_scales = InputScales.from_example_set(example_set)
-    trainer = Trainer(model, use_tape=False)
-    trainer._predict_current(example_set)  # warm up
+    module_outputs = Trainer(model, use_tape=False)._predict_current(example_set)
+
+    trainer = Trainer(model, use_tape=True)
+    trainer._predict_current(example_set)  # warm up (traces the tape)
     started = time.perf_counter()
     outputs = trainer._predict_current(example_set)
     seconds = time.perf_counter() - started
-
-    taped_trainer = Trainer(model, use_tape=True)
-    taped_trainer._predict_current(example_set)  # warm up (traces the tape)
-    started = time.perf_counter()
-    taped_outputs = taped_trainer._predict_current(example_set)
-    taped_seconds = time.perf_counter() - started
     return {
         "inference.items": float(example_set.n_items),
         "inference.seconds": seconds,
         "inference.items_per_sec": (
             example_set.n_items / seconds if seconds else 0.0
         ),
-        "inference.taped.seconds": taped_seconds,
-        "inference.taped.items_per_sec": (
-            example_set.n_items / taped_seconds if taped_seconds else 0.0
+        "inference.taped.identical": float(
+            np.array_equal(outputs, module_outputs)
         ),
-        "inference.taped.speedup": (
-            seconds / taped_seconds if taped_seconds else 0.0
-        ),
-        "inference.taped.identical": float(np.array_equal(outputs, taped_outputs)),
     }
 
 
 def bench_serving(scale_name: str) -> Dict[str, float]:
     """Serving throughput: cold micro-batched queries and warm cache hits.
 
-    Stands up a full :class:`repro.serving.PredictionService` (untrained
-    weights — throughput does not depend on the parameter values) and
-    drives it from a few submitter threads, the same concurrency shape
-    the HTTP front-end produces.  The cold pass answers distinct queries
-    through featurize + forward; the warm pass re-asks them and must be
-    answered from the LRU cache.
-
-    Two legs: the base ``serving.*`` family replicates the historical
-    stack (module dispatch, per-row featurization, lingering batcher);
-    ``serving.*.taped.*`` runs the current defaults — forward tape,
-    vectorized featurizer, eager flush.  ``serving.taped.identical``
-    asserts both legs returned bitwise-identical predictions for every
-    query.
+    Stands up a full :class:`repro.serving.PredictionService` with the
+    default :class:`~repro.serving.ServingConfig` (untrained weights —
+    throughput does not depend on the parameter values) and drives it
+    from a few submitter threads, the same concurrency shape the HTTP
+    front-end produces.  The cold pass answers distinct queries through
+    featurize + forward; the warm pass re-asks them and must be answered
+    from the LRU cache.  ``serving.taped.identical`` asserts that one
+    untimed module-dispatch service returned bitwise the same gaps.
     """
     import threading
 
@@ -299,7 +222,7 @@ def bench_serving(scale_name: str) -> Dict[str, float]:
         for slot in slots
     ][:600]
 
-    def build_service(taped: bool):
+    def build_service(use_tape: Optional[bool], registry: MetricsRegistry):
         model = BasicDeepSD(
             dataset.n_areas,
             scale.features.window_minutes,
@@ -308,95 +231,78 @@ def bench_serving(scale_name: str) -> Dict[str, float]:
             seed=1,
         )
         model.input_scales = InputScales.from_example_set(train_set)
-        # Private registry: per-request latency quantiles for THIS leg
-        # only, resettable between the cold and warm passes.
-        registry = MetricsRegistry()
-        service = PredictionService(
-            Trainer(model, use_tape=taped),
+        return PredictionService(
+            Trainer(model),
             dataset,
             scale.features,
             train_set.scalers,
-            serving_config=ServingConfig(
-                max_batch=32, max_wait_ms=2.0, eager_flush=taped
-            ),
+            serving_config=ServingConfig(use_tape=use_tape),
             registry=registry,
         )
-        if not taped:
-            service._engine.predictor.vectorized_featurize = False
-        return service, registry
 
-    def run_leg(taped: bool, cold_name: str, warm_name: str):
-        service, registry = build_service(taped)
-        results: Dict[tuple, float] = {}
+    with build_service(False, MetricsRegistry()) as module_service:
+        module_gaps = [
+            result.gap for result in module_service.predict_batch(queries)
+        ]
 
-        def drive(chunk):
-            for query in chunk:
-                results[query] = service.predict(*query)
+    # Private registry: per-request latency quantiles for this service
+    # only, resettable between the cold and warm passes.
+    registry = MetricsRegistry()
+    service = build_service(None, registry)
+    results: Dict[tuple, float] = {}
 
-        def timed_pass() -> float:
-            n_threads = 4
-            chunks = [queries[i::n_threads] for i in range(n_threads)]
-            threads = [
-                threading.Thread(target=drive, args=(chunk,)) for chunk in chunks
-            ]
-            started = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            return time.perf_counter() - started
+    def drive(chunk):
+        for query in chunk:
+            results[query] = service.predict(*query).gap
 
-        def request_quantiles(prefix: str) -> Dict[str, float]:
-            sketch = registry.histograms.get(
-                "repro.serving.request_seconds", Histogram()
-            )
-            return {
-                f"{prefix}.p50_ms": _quantile_ms(sketch, 0.50),
-                f"{prefix}.p95_ms": _quantile_ms(sketch, 0.95),
-                f"{prefix}.p99_ms": _quantile_ms(sketch, 0.99),
-            }
+    def timed_pass() -> float:
+        n_threads = 4
+        chunks = [queries[i::n_threads] for i in range(n_threads)]
+        threads = [
+            threading.Thread(target=drive, args=(chunk,)) for chunk in chunks
+        ]
+        started = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        return time.perf_counter() - started
 
-        service.predict(*queries[0])  # warm up imports and the first profile
-        registry.reset()
-        cold_seconds = timed_pass()
-        metrics = request_quantiles(cold_name)
-        registry.reset()
-        warm_seconds = timed_pass()
-        metrics.update(request_quantiles(warm_name))
-        service.close()
-        items = float(len(queries))
-        metrics.update(
-            {
-                f"{cold_name}.seconds": cold_seconds,
-                f"{cold_name}.items_per_sec": (
-                    items / cold_seconds if cold_seconds else 0.0
-                ),
-                f"{warm_name}.seconds": warm_seconds,
-                f"{warm_name}.items_per_sec": (
-                    items / warm_seconds if warm_seconds else 0.0
-                ),
-            }
+    def request_quantiles(prefix: str) -> Dict[str, float]:
+        sketch = registry.histograms.get(
+            "repro.serving.request_seconds", Histogram()
         )
-        return metrics, results
+        return {
+            f"{prefix}.p50_ms": _quantile_ms(sketch, 0.50),
+            f"{prefix}.p95_ms": _quantile_ms(sketch, 0.95),
+            f"{prefix}.p99_ms": _quantile_ms(sketch, 0.99),
+        }
 
-    base, base_results = run_leg(False, "serving.cold", "serving.warm")
-    taped, taped_results = run_leg(
-        True, "serving.cold.taped", "serving.warm.taped"
+    service.predict(*queries[0])  # warm up imports and the first profile
+    registry.reset()
+    cold_seconds = timed_pass()
+    metrics = request_quantiles("serving.cold")
+    registry.reset()
+    warm_seconds = timed_pass()
+    metrics.update(request_quantiles("serving.warm"))
+    service.close()
+    items = float(len(queries))
+    metrics.update(
+        {
+            "serving.items": items,
+            "serving.cold.seconds": cold_seconds,
+            "serving.cold.items_per_sec": (
+                items / cold_seconds if cold_seconds else 0.0
+            ),
+            "serving.warm.seconds": warm_seconds,
+            "serving.warm.items_per_sec": (
+                items / warm_seconds if warm_seconds else 0.0
+            ),
+            "serving.taped.identical": float(
+                [results[query] for query in queries] == module_gaps
+            ),
+        }
     )
-    metrics = {"serving.items": float(len(queries))}
-    metrics.update(base)
-    metrics.update(taped)
-    metrics["serving.cold.taped.speedup"] = (
-        base["serving.cold.seconds"] / taped["serving.cold.taped.seconds"]
-        if taped["serving.cold.taped.seconds"]
-        else 0.0
-    )
-    metrics["serving.warm.taped.speedup"] = (
-        base["serving.warm.seconds"] / taped["serving.warm.taped.seconds"]
-        if taped["serving.warm.taped.seconds"]
-        else 0.0
-    )
-    metrics["serving.taped.identical"] = float(base_results == taped_results)
     return metrics
 
 

@@ -274,10 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest micro-batch folded into one forward pass",
     )
     serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0, metavar="MS",
-        help="how long a request waits for batch-mates",
-    )
-    serve.add_argument(
         "--cache-size", type=int, default=4096, metavar="N",
         help="LRU prediction-cache capacity",
     )
@@ -295,12 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
              "tape (responses are bitwise-identical either way)",
     )
     serve.add_argument(
-        "--no-eager-flush", action="store_true",
-        help="restore the lingering micro-batcher: wait up to "
-             "--max-wait-ms for batch-mates instead of dispatching "
-             "whatever is queued",
-    )
-    serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="worker processes; >1 runs a sharded fleet behind a router",
     )
@@ -316,11 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--fleet-run-dir", default=None, metavar="DIR",
         help="fleet worker logs/manifests directory (default: temp dir)",
-    )
-    serve.add_argument(
-        "--io-loop", default="threaded", choices=["threaded", "selector"],
-        help="HTTP connection model: thread-per-connection (default) or "
-             "one selector event loop multiplexing keep-alive sockets",
     )
 
     loadtest = sub.add_parser(
@@ -377,16 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
              "/predict_batch requests of up to N items, recorded under "
              "PREFIX.batch.*, plus a bitwise batch-vs-single cross-check "
              "recorded as serving.batch.identical",
-    )
-    loadtest.add_argument(
-        "--pipeline", type=int, default=1, metavar="K",
-        help="keep K requests in flight per connection (raw pipelined "
-             "keep-alive clients instead of request/response lockstep)",
-    )
-    loadtest.add_argument(
-        "--io-loop", default="threaded", choices=["threaded", "selector"],
-        help="connection model for the self-hosted fleet's router and "
-             "workers (ignored with --url)",
     )
 
     info = sub.add_parser("info", parents=[obs], help="describe a saved artifact")
@@ -785,7 +760,6 @@ def cmd_serve(args) -> int:
             "city": args.city,
             "checkpoint": args.checkpoint,
             "max_batch": args.max_batch,
-            "max_wait_ms": args.max_wait_ms,
             "cache_size": args.cache_size,
             "cache_ttl": args.cache_ttl,
         },
@@ -799,8 +773,6 @@ def cmd_serve(args) -> int:
             scale.features,
             serving_config=ServingConfig(
                 max_batch=args.max_batch,
-                max_wait_ms=args.max_wait_ms,
-                eager_flush=not args.no_eager_flush,
                 cache_size=args.cache_size,
                 cache_ttl_seconds=args.cache_ttl,
                 max_profiles=args.max_profiles,
@@ -816,9 +788,7 @@ def cmd_serve(args) -> int:
         watcher = CheckpointWatcher(
             service, watch_dir, interval_seconds=args.watch_checkpoint
         ).start()
-    server = build_server(
-        service, host=args.host, port=args.port, io_loop=args.io_loop
-    )
+    server = build_server(service, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     manifest.record(port=port)
     manifest.artifacts["checkpoint"] = args.checkpoint
@@ -862,11 +832,8 @@ def _serve_fleet(args) -> int:
         shard_by=args.shard_by,
         host=args.host,
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         cache_size=args.cache_size,
         use_tape=not args.no_tape,
-        eager_flush=not args.no_eager_flush,
-        io_loop=args.io_loop,
         watch_interval=args.watch_checkpoint,
         run_dir=args.fleet_run_dir,
     )
@@ -883,9 +850,7 @@ def _serve_fleet(args) -> int:
     fleet = FleetSupervisor(config)
     with manifest.stage("start_fleet"):
         fleet.start()
-    server = build_router(
-        fleet, host=args.host, port=args.port, io_loop=args.io_loop
-    )
+    server = build_router(fleet, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     manifest.record(port=port, run_dir=fleet.run_dir)
     manifest.artifacts["checkpoint"] = args.checkpoint
@@ -938,8 +903,6 @@ def cmd_loadtest(args) -> int:
             "observe_fraction": args.observe_fraction,
             "seed": args.seed,
             "batch": args.batch,
-            "pipeline": args.pipeline,
-            "io_loop": args.io_loop,
         },
     )
     fleet = None
@@ -963,10 +926,9 @@ def cmd_loadtest(args) -> int:
                     scale=scale.name,
                     workers=args.workers,
                     shard_by=args.shard_by,
-                    io_loop=args.io_loop,
                 )
             ).start()
-            server = build_router(fleet, io_loop=args.io_loop)
+            server = build_router(fleet)
             host, port = server.server_address[:2]
             import threading as _threading
 
@@ -989,7 +951,6 @@ def cmd_loadtest(args) -> int:
                 concurrency=args.concurrency,
                 observe_fraction=args.observe_fraction,
                 seed=args.seed,
-                pipeline=args.pipeline,
             )
         metrics.update(result.metrics(args.bench_prefix))
         if args.batch > 1:
@@ -1002,7 +963,6 @@ def cmd_loadtest(args) -> int:
                     observe_fraction=args.observe_fraction,
                     seed=args.seed + 1,
                     batch=args.batch,
-                    pipeline=args.pipeline,
                 )
             metrics.update(batch_result.metrics(f"{args.bench_prefix}.batch"))
             with manifest.stage("verify_batch"):

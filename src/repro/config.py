@@ -161,7 +161,10 @@ class ExperimentScale:
 def paper_scale(seed: int = 20170301) -> ExperimentScale:
     """The paper's full protocol: 58 areas, 24+28 days, 5-minute items.
 
-    CPU-heavy — expect hours of featurization + training on a laptop.
+    Simulation and featurization take seconds and a training epoch about
+    ten seconds on a CPU, so a full fit takes minutes.  Memory is the
+    constraint: peak RSS is about 4 GB, most of it the materialized
+    per-weekday history blocks of the train set.
     """
     return ExperimentScale(
         name="paper",

@@ -88,11 +88,6 @@ class GapPredictor:
         self.max_profiles = max_profiles
         self._profiles: "OrderedDict[Tuple[int, int], AreaDayProfile]" = OrderedDict()
         self._profiles_lock = threading.Lock()
-        # Vectorized featurization: group queries by (area, day) and
-        # extract signal vectors through the batched AreaDayProfile APIs.
-        # Bitwise-identical to the historical row loop on every field it
-        # fills; set False to force the row loop.
-        self.vectorized_featurize = True
         # Which signal arrays _featurize fills: "all" keeps the builder-
         # parity contract (every signal array populated); "model" fills
         # only the arrays named in the model's ``input_fields`` and leaves
@@ -180,32 +175,6 @@ class GapPredictor:
                 "window and the prediction interval fit inside the day"
             )
 
-    def _history(
-        self, area_id: int, day: int, timeslot: int, signal: str
-    ) -> np.ndarray:
-        """Per-weekday mean of a signal's vectors over prior days — (7, 2L)."""
-        calendar = self.dataset.calendar
-        L = self.config.window_minutes
-        history = np.zeros((7, 2 * L))
-        for weekday in range(7):
-            prior = calendar.days_with_weekday(weekday, before=day)
-            if not prior:
-                continue
-            vectors = [
-                self._signal_vector(self._profile(area_id, m), timeslot, signal)
-                for m in prior
-            ]
-            history[weekday] = np.mean(vectors, axis=0)
-        return history
-
-    @staticmethod
-    def _signal_vector(profile: AreaDayProfile, timeslot: int, signal: str) -> np.ndarray:
-        if signal == "sd":
-            return profile.supply_demand_vector(timeslot)
-        if signal == "lc":
-            return profile.last_call_vector(timeslot)
-        return profile.waiting_time_vector(timeslot)
-
     @staticmethod
     def _signal_vectors(
         profile: AreaDayProfile, timeslots: np.ndarray, signal: str
@@ -215,27 +184,6 @@ class GapPredictor:
         if signal == "lc":
             return profile.last_call_vectors(timeslots)
         return profile.waiting_time_vectors(timeslots)
-
-    def _signals_per_row(self, queries: Sequence[GapQuery]):
-        """The historical row-at-a-time extraction — every signal array."""
-        config = self.config
-        L = config.window_minutes
-        n = len(queries)
-        now = {name: np.empty((n, 2 * L), dtype=np.float32) for name in SIGNALS}
-        hist = {name: np.empty((n, 7, 2 * L), dtype=np.float32) for name in SIGNALS}
-        hist_next = {name: np.empty((n, 7, 2 * L), dtype=np.float32) for name in SIGNALS}
-        for i, query in enumerate(queries):
-            profile = self._profile(query.area_id, query.day)
-            shifted = query.timeslot + config.gap_minutes
-            for name in SIGNALS:
-                now[name][i] = self._signal_vector(profile, query.timeslot, name)
-                hist[name][i] = self._history(
-                    query.area_id, query.day, query.timeslot, name
-                )
-                hist_next[name][i] = self._history(
-                    query.area_id, query.day, shifted, name
-                )
-        return now, hist, hist_next
 
     def _signals_grouped(self, queries: Sequence[GapQuery], time_ids: np.ndarray):
         """Batched extraction: group by (area, day).
@@ -247,8 +195,9 @@ class GapPredictor:
         touches prior-day profiles at all, which is the bulk of the
         cold-path cost.
 
-        Each computed element is bitwise-identical to the per-row path:
-        the batched vector extractions are pure gathers (row-independent),
+        Each computed element is bitwise-identical to a row-at-a-time
+        extraction (``tests/serving/per_row_featurize.py``): the batched
+        vector extractions are pure gathers (row-independent),
         and ``np.mean`` over the leading axis of a stacked ``(k, T, 2L)``
         array reduces in the same sequential order as over ``(k, 2L)``.
         """
@@ -326,10 +275,7 @@ class GapPredictor:
             dtype=np.int64,
         )
 
-        if self.vectorized_featurize:
-            now, hist, hist_next = self._signals_grouped(queries, time_ids)
-        else:
-            now, hist, hist_next = self._signals_per_row(queries)
+        now, hist, hist_next = self._signals_grouped(queries, time_ids)
 
         environment = extract_environment(
             self.dataset, area_ids, day_ids, time_ids, L

@@ -9,12 +9,9 @@ live "what will the gap be here, now?" queries inside a dispatch system:
   invalidation) and hot-swaps checkpoints without downtime;
 - :class:`MicroBatcher` / :class:`TTLCache` — the reusable pieces;
 - :class:`ServiceApp` (:mod:`repro.serving.app`) — the transport-
-  agnostic route layer both server front-ends share;
+  agnostic route layer the HTTP front-end drives;
 - :mod:`repro.serving.http` — the threaded stdlib JSON endpoint behind
-  ``repro serve``;
-- :class:`SelectorHTTPServer` (:mod:`repro.serving.aio`) — the selector
-  event-loop front-end behind ``repro serve --io-loop selector``:
-  persistent keep-alive connections, pipelining, one loop thread;
+  ``repro serve`` (every worker and the fleet router);
 - :class:`FleetSupervisor` / :mod:`repro.serving.router` — the sharded
   multi-worker fleet behind ``repro serve --workers N``: supervised
   worker processes, hash-partitioned queries, broadcast observations,
@@ -30,12 +27,11 @@ Batched responses are bitwise-identical to one-at-a-time
 bitwise-identical to one process (see ``docs/serving.md``).
 """
 
-from .aio import SelectorHTTPServer
 from .app import ServiceApp
 from .batcher import MicroBatcher
 from .cache import TTLCache
 from .fleet import FleetConfig, FleetSupervisor
-from .http import IO_LOOPS, build_server, serve_forever
+from .http import build_server, serve_forever
 from .loadtest import (
     LoadTestResult,
     generate_ops,
@@ -62,7 +58,6 @@ from .service import (
 )
 
 __all__ = [
-    "IO_LOOPS",
     "SHARD_STRATEGIES",
     "CheckpointWatcher",
     "FleetConfig",
@@ -74,7 +69,6 @@ __all__ = [
     "PredictionResult",
     "PredictionService",
     "RouterApp",
-    "SelectorHTTPServer",
     "ServiceApp",
     "ServingConfig",
     "TTLCache",

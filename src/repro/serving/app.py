@@ -1,16 +1,13 @@
 """Transport-agnostic HTTP applications for the serving plane.
 
 The route logic for a worker (:class:`ServiceApp`) and for the fleet
-router (:class:`repro.serving.router.RouterApp`) used to live inside
-``BaseHTTPRequestHandler`` subclasses, welding it to the thread-per-
-connection server.  Both now speak one tiny interface —
+router (:class:`repro.serving.router.RouterApp`) speaks one tiny
+interface —
 
     ``app.handle(method, target, body_bytes) -> Response``
 
-— that any server front-end can drive: the threaded stdlib server
-(:mod:`repro.serving.http`) and the selector event loop
-(:mod:`repro.serving.aio`) serve byte-identical responses because they
-run the same application object.
+— which the threaded stdlib front-end (:mod:`repro.serving.http`)
+drives for both, so a worker and the router frame replies identically.
 
 The adapter owns the wire (short-read-hardened body collection, status
 line, Content-Length framing); the app owns JSON parsing, routing,

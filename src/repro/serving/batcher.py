@@ -2,20 +2,13 @@
 
 Request threads submit items and get back futures; one daemon worker
 drains the queue, hands the batch to a vectorized handler, and fans the
-results back out.  Two flush policies are supported:
-
-* **eager** (``eager_flush=True``): dispatch as soon as the worker is
-  free, batching whatever is already queued (up to ``max_batch``).
-  Under load, requests naturally accumulate while the previous batch is
-  being handled — the handler's own duration is the batching window — so
-  throughput self-batches with zero added latency.  A lone request is
-  dispatched immediately.
-* **linger** (``eager_flush=False``): after the first item, wait up to
-  ``max_wait_ms`` for more before dispatching.  This builds larger
-  batches at low open-loop load at the cost of up to ``max_wait_ms``
-  extra latency per batch — including when no further request is coming,
-  which makes it strictly slower for closed-loop callers that block on
-  each future.
+results back out.  The flush policy is **eager**: dispatch as soon as
+the worker is free, batching whatever is already queued (up to
+``max_batch``).  Under load, requests naturally accumulate while the
+previous batch is being handled — the handler's own duration is the
+batching window — so throughput self-batches with zero added latency.
+A lone request is dispatched immediately; the worker never sleeps
+waiting for batch-mates.
 
 Model forwards are NOT thread-safe here (the trainer's best-k ensemble
 swaps weights in and out of one model instance), so confining every
@@ -48,13 +41,6 @@ class MicroBatcher:
         1..max_batch items; must return one result per item, in order.
     max_batch:
         Largest batch handed to ``handler``.
-    max_wait_ms:
-        How long the worker waits for more items after the first one
-        (linger policy only).
-    eager_flush:
-        Dispatch immediately with whatever is queued instead of
-        lingering ``max_wait_ms`` for a fuller batch (see module
-        docstring).  Defaults to the historical linger behavior.
     registry:
         Metrics sink (defaults to the process registry).  Emits
         ``repro.serving.batcher.queue_depth`` (gauge, sampled per
@@ -73,19 +59,13 @@ class MicroBatcher:
         self,
         handler: Callable[[List[object]], Sequence[object]],
         max_batch: int = 32,
-        max_wait_ms: float = 2.0,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        eager_flush: bool = False,
     ) -> None:
         if max_batch <= 0:
             raise ConfigError(f"max_batch must be positive, got {max_batch}")
-        if max_wait_ms < 0:
-            raise ConfigError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         self._handler = handler
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_ms / 1000.0
-        self.eager_flush = eager_flush
         self._registry = registry if registry is not None else get_registry()
         self._tracer = tracer if tracer is not None else get_tracer()
         self._queue: "queue.Queue" = queue.Queue()
@@ -141,7 +121,6 @@ class MicroBatcher:
     # ------------------------------------------------------------------
 
     def _run(self) -> None:
-        clock = self._registry.clock
         while True:
             first = self._queue.get()
             if first is _STOP:
@@ -149,32 +128,17 @@ class MicroBatcher:
                 return
             batch = [first]
             stop_after = False
-            if self.eager_flush:
-                # Take only what is already queued — never sleep.  The
-                # next batch accumulates while the handler runs.
-                while len(batch) < self.max_batch:
-                    try:
-                        item = self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if item is _STOP:
-                        stop_after = True
-                        break
-                    batch.append(item)
-            else:
-                deadline = clock() + self.max_wait_s
-                while len(batch) < self.max_batch:
-                    remaining = deadline - clock()
-                    if remaining <= 0:
-                        break
-                    try:
-                        item = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
-                    if item is _STOP:
-                        stop_after = True
-                        break
-                    batch.append(item)
+            # Take only what is already queued — never sleep.  The next
+            # batch accumulates while the handler runs.
+            while len(batch) < self.max_batch:
+                try:
+                    item = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+                if item is _STOP:
+                    stop_after = True
+                    break
+                batch.append(item)
             self._registry.gauge(
                 "repro.serving.batcher.queue_depth", self._queue.qsize()
             )

@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import ConfigError
 from ..obs import MetricsRegistry, get_logger, get_registry
-from .http import IO_LOOPS
 from .router import (
     SHARD_STRATEGIES,
     TRANSPORT_ERRORS,
@@ -71,14 +70,9 @@ class FleetConfig:
     shard_by: str = "area-slot"
     host: str = "127.0.0.1"
     max_batch: int = 32
-    max_wait_ms: float = 2.0
     cache_size: int = 4096
-    #: Forwarded to workers as ``--no-tape`` / ``--no-eager-flush``.
+    #: Forwarded to workers as ``--no-tape``.
     use_tape: bool = True
-    eager_flush: bool = True
-    #: Connection model for each worker's HTTP front-end (forwarded as
-    #: ``--io-loop``): ``threaded`` or ``selector``.
-    io_loop: str = "threaded"
     #: Seconds between checkpoint-directory polls in each worker
     #: (0 disables the per-worker watcher).
     watch_interval: float = 0.0
@@ -99,10 +93,6 @@ class FleetConfig:
         if self.shard_by not in SHARD_STRATEGIES:
             raise ConfigError(
                 f"unknown shard_by {self.shard_by!r}; known: {SHARD_STRATEGIES}"
-            )
-        if self.io_loop not in IO_LOOPS:
-            raise ConfigError(
-                f"unknown io_loop {self.io_loop!r}; known: {IO_LOOPS}"
             )
 
 
@@ -239,17 +229,13 @@ class FleetSupervisor:
             "--host", cfg.host,
             "--port", "0",
             "--max-batch", str(cfg.max_batch),
-            "--max-wait-ms", str(cfg.max_wait_ms),
             "--cache-size", str(cfg.cache_size),
-            "--io-loop", cfg.io_loop,
             "--manifest",
             os.path.join(self.run_dir, f"worker-{worker.index}.manifest.json"),
             "--quiet",
         ]
         if not cfg.use_tape:
             cmd.append("--no-tape")
-        if not cfg.eager_flush:
-            cmd.append("--no-eager-flush")
         if cfg.watch_interval > 0:
             cmd += ["--watch-checkpoint", str(cfg.watch_interval)]
         return cmd

@@ -24,36 +24,33 @@ concurrency shape the micro-batcher coalesces) framing the routes of
   supervisor).
 
 Invalid inputs are 400s with an ``{"error": ...}`` body; unexpected
-failures are 500s.  No dependencies beyond the standard library.  The
-same application also runs behind the selector event loop
-(:mod:`repro.serving.aio`, ``repro serve --io-loop selector``) with
-byte-identical responses.
+failures are 500s.  No dependencies beyond the standard library.
 
 Handler threads are daemons (a hung connection can never pin the
 process), but they are *tracked* and joined — with a short timeout —
 when the server closes, so an in-flight reply (the ``/shutdown``
 acknowledgement in particular) is flushed before the process exits
-rather than racing it.
+rather than racing it.  Idle keep-alive connections are shut for
+reading first, so closing never waits on a client that keeps its
+connection open.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..exceptions import ConfigError, DataError
 from ..obs import get_logger
-from .aio import SelectorHTTPServer
 from .app import MAX_BODY_BYTES, Response, ServiceApp
 from .service import PredictionService
 
 __all__ = ["build_server", "make_threaded_handler", "serve_forever"]
 
 _log = get_logger(__name__)
-
-IO_LOOPS = ("threaded", "selector")
 
 
 class _JoiningHTTPServer(ThreadingHTTPServer):
@@ -66,6 +63,11 @@ class _JoiningHTTPServer(ThreadingHTTPServer):
     ``/shutdown`` race.  This subclass keeps the daemon property but
     tracks live handler threads and joins each for up to
     ``handler_join_timeout`` seconds total in :meth:`server_close`.
+
+    A handler serving a keep-alive connection parks in ``readline()``
+    between requests, so :meth:`server_close` first shuts the read side
+    of every open connection: a parked handler then sees EOF at once,
+    while writes are untouched and an in-flight reply still goes out.
     """
 
     daemon_threads = True
@@ -74,6 +76,7 @@ class _JoiningHTTPServer(ThreadingHTTPServer):
 
     def __init__(self, *args, **kwargs) -> None:
         self._handler_threads: set = set()
+        self._connections: set = set()
         self._handler_lock = threading.Lock()
         super().__init__(*args, **kwargs)
 
@@ -88,12 +91,24 @@ class _JoiningHTTPServer(ThreadingHTTPServer):
                 t for t in self._handler_threads if t.is_alive()
             }
             self._handler_threads.add(thread)
+            self._connections.add(request)
         thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._handler_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
 
     def server_close(self) -> None:
         super().server_close()
         with self._handler_lock:
             threads, self._handler_threads = self._handler_threads, set()
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:  # already closed by its handler
+                pass
         deadline = time.monotonic() + self.handler_join_timeout
         for thread in threads:
             if thread is threading.current_thread():
@@ -206,28 +221,15 @@ def build_server(
     service: PredictionService,
     host: str = "127.0.0.1",
     port: int = 0,
-    io_loop: str = "threaded",
 ):
     """An HTTP server bound to ``host:port`` (0 picks a free port).
-
-    ``io_loop`` selects the connection model: ``"threaded"`` (default)
-    is the thread-per-connection stdlib server; ``"selector"`` is the
-    single event loop multiplexing persistent keep-alive connections
-    (:class:`repro.serving.aio.SelectorHTTPServer`).  Both run the same
-    :class:`~repro.serving.app.ServiceApp`, so responses are
-    byte-identical.
 
     The caller owns the lifecycle: ``server.serve_forever()`` to run,
     ``server.shutdown()``/``server.server_close()`` to stop.  The bound
     address is ``server.server_address``.  Closing drains outstanding
     replies so none is lost.
     """
-    if io_loop not in IO_LOOPS:
-        raise ConfigError(f"unknown io_loop {io_loop!r}; known: {IO_LOOPS}")
-    app = ServiceApp(service)
-    if io_loop == "selector":
-        return SelectorHTTPServer(app, host=host, port=port)
-    handler = make_threaded_handler(app, _log, "serving.http")
+    handler = make_threaded_handler(ServiceApp(service), _log, "serving.http")
     server = _JoiningHTTPServer((host, port), handler)
     server.shutdown_action = server.shutdown
     return server

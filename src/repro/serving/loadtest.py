@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -65,7 +64,6 @@ class LoadTestResult:
     p99_ms: float
     items: int = 0
     batch: int = 1
-    pipeline: int = 1
 
     def __post_init__(self) -> None:
         if self.items <= 0:
@@ -206,62 +204,6 @@ def group_batches(
     return wire
 
 
-class _RawClient:
-    """Minimal pipelining HTTP/1.1 client on one keep-alive socket.
-
-    ``http.client`` refuses to send a second request before the first
-    response is read, so the pipelined load mode frames requests by hand:
-    write a whole window of requests, then read the same number of
-    responses back (the server — selector loop or threaded — replies in
-    order).
-    """
-
-    def __init__(self, address: str, timeout: float) -> None:
-        host, _, port = address.rpartition(":")
-        self._sock = socket.create_connection((host, int(port)), timeout=timeout)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._file = self._sock.makefile("rb")
-        self._host = address
-
-    def format_request(self, path: str, body: dict) -> bytes:
-        data = json.dumps(body).encode("utf-8")
-        head = (
-            f"POST {path} HTTP/1.1\r\n"
-            f"Host: {self._host}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(data)}\r\n\r\n"
-        )
-        return head.encode("latin-1") + data
-
-    def send(self, blob: bytes) -> None:
-        self._sock.sendall(blob)
-
-    def read_response(self) -> Tuple[int, bytes]:
-        status_line = self._file.readline()
-        if not status_line:
-            raise OSError("connection closed mid-pipeline")
-        status = int(status_line.split()[1])
-        length = 0
-        while True:
-            line = self._file.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.partition(b":")
-            if name.strip().lower() == b"content-length":
-                length = int(value.strip())
-        body = self._file.read(length) if length > 0 else b""
-        return status, body
-
-    def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-
-
 def run_loadtest(
     url: str,
     scale: ExperimentScale,
@@ -271,7 +213,6 @@ def run_loadtest(
     seed: int = 0,
     timeout: float = 60.0,
     batch: int = 1,
-    pipeline: int = 1,
 ) -> LoadTestResult:
     """Drive ``n_requests`` mixed ops at ``url`` from ``concurrency``
     threads; every thread keeps its own keep-alive connection.
@@ -279,10 +220,6 @@ def run_loadtest(
     ``batch > 1`` folds runs of predictions into ``/predict_batch``
     requests of up to that many items (:func:`group_batches`), measuring
     the batched transport plane; ``n_requests`` still counts *items*.
-    ``pipeline > 1`` switches threads to raw pipelined sockets that keep
-    that many requests on the wire at once — in that mode each recorded
-    latency covers one full pipeline window, an honest upper bound per
-    request.
 
     A request counts as an error when it returns a non-200 status or
     dies on a transport error (the fleet router's retry loop makes the
@@ -293,8 +230,6 @@ def run_loadtest(
         raise ConfigError(f"concurrency must be positive, got {concurrency}")
     if batch <= 0:
         raise ConfigError(f"batch must be positive, got {batch}")
-    if pipeline <= 0:
-        raise ConfigError(f"pipeline must be positive, got {pipeline}")
     address = _address_of(url)
     ops = generate_ops(scale, n_requests, observe_fraction, seed)
     wire_ops = group_batches(ops, batch)
@@ -325,46 +260,8 @@ def run_loadtest(
             with histogram_lock:
                 latencies.observe(elapsed)
 
-    def drive_pipelined(thread_index: int) -> None:
-        client: Optional[_RawClient] = None
-        try:
-            while True:
-                with cursor_lock:
-                    index = cursor["next"]
-                    if index >= len(wire_ops):
-                        return
-                    take = min(pipeline, len(wire_ops) - index)
-                    cursor["next"] = index + take
-                window = wire_ops[index:index + take]
-                started = time.perf_counter()
-                try:
-                    if client is None:
-                        client = _RawClient(address, timeout)
-                    client.send(b"".join(
-                        client.format_request(path, body)
-                        for path, body, _ in window
-                    ))
-                    statuses = [
-                        client.read_response()[0] for _ in window
-                    ]
-                except (OSError, ValueError, IndexError):
-                    statuses = [-1] * len(window)
-                    if client is not None:
-                        client.close()
-                        client = None
-                elapsed = time.perf_counter() - started
-                for (_, _, n_items), status in zip(window, statuses):
-                    if status != 200:
-                        errors[thread_index] += n_items
-                with histogram_lock:
-                    latencies.observe(elapsed)
-        finally:
-            if client is not None:
-                client.close()
-
-    target = drive_pipelined if pipeline > 1 else drive
     threads = [
-        threading.Thread(target=target, args=(i,), daemon=True,
+        threading.Thread(target=drive, args=(i,), daemon=True,
                          name=f"repro-loadtest-{i}")
         for i in range(concurrency)
     ]
@@ -379,7 +276,6 @@ def run_loadtest(
         requests=len(wire_ops),
         items=len(ops),
         batch=batch,
-        pipeline=pipeline,
         errors=sum(errors),
         seconds=seconds,
         concurrency=concurrency,
@@ -392,7 +288,6 @@ def run_loadtest(
         requests=result.requests,
         items=result.items,
         batch=batch,
-        pipeline=pipeline,
         errors=result.errors,
         seconds=round(result.seconds, 3),
         items_per_sec=round(result.items_per_sec, 1),

@@ -32,8 +32,8 @@ cannot tell a 4-shard fleet from one process — and owns four jobs:
 
 ``GET /stats``, ``/healthz`` and ``/metrics`` aggregate per-worker state
 through the router (see :func:`aggregate_prometheus` for the merge
-semantics).  Like the worker front-end, the router runs on either the
-threaded server or the selector event loop (``io_loop="selector"``).
+semantics).  The router runs on the same threaded front-end as the
+workers (:mod:`repro.serving.http`).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .app import (
     text_response,
 )
 from .batcher import MicroBatcher
-from .http import IO_LOOPS, _JoiningHTTPServer, make_threaded_handler
+from .http import _JoiningHTTPServer, make_threaded_handler
 
 __all__ = [
     "SHARD_STRATEGIES",
@@ -334,8 +334,6 @@ class PredictCoalescer:
             MicroBatcher(
                 handler=(lambda bodies, shard=shard: self._handle(shard, bodies)),
                 max_batch=max_batch,
-                max_wait_ms=0.0,
-                eager_flush=True,
                 registry=fleet.registry,
             )
             for shard in range(len(fleet.workers))
@@ -434,8 +432,8 @@ class PredictCoalescer:
 class RouterApp:
     """The fleet-facing twin of :class:`repro.serving.app.ServiceApp`.
 
-    Same ``handle(method, target, body) -> Response`` interface, same
-    routes, so both server front-ends (threaded, selector) can drive it.
+    Same ``handle(method, target, body) -> Response`` interface and the
+    same routes, so the same threaded front-end drives it.
     """
 
     def __init__(self, fleet, coalescer: PredictCoalescer) -> None:
@@ -527,7 +525,6 @@ def build_router(
     fleet,
     host: str = "127.0.0.1",
     port: int = 0,
-    io_loop: str = "threaded",
     coalesce_batch: int = 256,
 ):
     """An HTTP front router bound to ``host:port`` proxying ``fleet``.
@@ -539,17 +536,11 @@ def build_router(
     every keep-alive worker connection (:func:`close_pools`), then stops
     the router itself.
     """
-    if io_loop not in IO_LOOPS:
-        raise ConfigError(f"unknown io_loop {io_loop!r}; known: {IO_LOOPS}")
     coalescer = PredictCoalescer(fleet, max_batch=coalesce_batch)
-    app = RouterApp(fleet, coalescer)
-    if io_loop == "selector":
-        from .aio import SelectorHTTPServer
-
-        server = SelectorHTTPServer(app, host=host, port=port)
-    else:
-        handler = make_threaded_handler(app, _log, "fleet.router_http")
-        server = _JoiningHTTPServer((host, port), handler)
+    handler = make_threaded_handler(
+        RouterApp(fleet, coalescer), _log, "fleet.router_http"
+    )
+    server = _JoiningHTTPServer((host, port), handler)
 
     def stop_everything() -> None:
         # Drain in-flight coalesced predicts against live workers first,

@@ -6,9 +6,8 @@ trained model from a checkpoint bundle (:meth:`from_checkpoint`), keeps
 warm per-city featurization state (the :class:`~repro.core.GapPredictor`
 profile cache), and answers ``predict(area, day, timeslot)`` queries
 through a micro-batching queue: concurrent requests accumulate while the
-previous batch is in flight (eager flush, the default) or for up to
-``max_wait_ms`` (``eager_flush=False``), then are featurized and
-forwarded in one vectorized pass and fanned back out.
+previous batch is in flight, then are featurized and forwarded in one
+vectorized pass and fanned back out.
 
 Correctness contract
 --------------------
@@ -39,7 +38,7 @@ import hashlib
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,8 +76,6 @@ class ServingConfig:
     """Knobs for the serving hot path."""
 
     max_batch: int = 32
-    max_wait_ms: float = 2.0
-    eager_flush: bool = True
     cache_size: int = 4096
     cache_ttl_seconds: Optional[float] = None
     max_profiles: Optional[int] = None
@@ -122,24 +119,6 @@ class _Engine:
         # alongside the weights so gaps and intervals always come from the
         # same checkpoint version, even mid-hot-swap.
         self.quantiles = getattr(trainer, "quantile_head", None)
-
-
-class _BatchGroup:
-    """N cache-missed queries travelling the batcher queue as ONE item.
-
-    :meth:`PredictionService.predict_batch` partitions its items into
-    cache hits and misses and submits all misses as a single group — one
-    queue entry, one worker wakeup, one vectorized featurize+forward —
-    instead of N per-item round-trips through the queue.  The handler
-    still runs on the single batcher thread (model forwards are not
-    thread-safe), so groups coalesce freely with concurrent single
-    predicts in the same dispatch.
-    """
-
-    __slots__ = ("queries",)
-
-    def __init__(self, queries: List[GapQuery]):
-        self.queries = queries
 
 
 class PredictionService:
@@ -200,10 +179,8 @@ class PredictionService:
         self._batcher = MicroBatcher(
             self._handle_batch,
             max_batch=self.serving_config.max_batch,
-            max_wait_ms=self.serving_config.max_wait_ms,
             registry=self._registry,
             tracer=self._tracer,
-            eager_flush=self.serving_config.eager_flush,
         )
         self._closed = False
 
@@ -315,87 +292,22 @@ class PredictionService:
 
         Thread-safe.  Invalid queries raise :class:`DataError`
         synchronously (they never poison a batch); valid ones are served
-        from the cache or folded into the next micro-batch.
+        from the cache or folded into the next micro-batch.  Equal to
+        ``predict_batch([(area_id, day, timeslot)])[0]``.
         """
         if self._closed:
             raise RuntimeError("service is closed")
         engine = self._engine
         query = GapQuery(int(area_id), int(day), int(timeslot))
         engine.predictor._validate(query)
-        self._registry.counter("repro.serving.requests")
         with self._tracer.span(
             "serving.predict", area=query.area_id, day=query.day,
             timeslot=query.timeslot,
         ) as span:
             with self._registry.timer("repro.serving.request_seconds"):
-                with self._tracer.span("cache.lookup"):
-                    key = self._cache_key(engine.version, query)
-                    value = self.cache.get(key, _MISS)
-                if value is not _MISS:
-                    self._registry.counter("repro.serving.cache.hits")
-                    span.set(cached=True)
-                    return PredictionResult(
-                        gap=value,
-                        version=engine.version,
-                        cached=True,
-                        intervals=self._intervals(engine, value, query.timeslot),
-                    )
-                self._registry.counter("repro.serving.cache.misses")
-                span.set(cached=False)
-                gap, version, intervals = self._batcher.submit(query).result()
-        return PredictionResult(
-            gap=gap, version=version, cached=False, intervals=intervals
-        )
-
-    def predict_many(
-        self, queries: Sequence[Tuple[int, int, int]]
-    ) -> List[PredictionResult]:
-        """Answer ``(area, day, timeslot)`` triples concurrently.
-
-        Submits everything before waiting, so the batcher can coalesce
-        the lot into a few forward passes.
-        """
-        if self._closed:
-            raise RuntimeError("service is closed")
-        with self._tracer.span("serving.predict_many", n=len(queries)):
-            pending: List[Tuple[Optional[object], Optional[PredictionResult]]] = []
-            for area_id, day, timeslot in queries:
-                engine = self._engine
-                query = GapQuery(int(area_id), int(day), int(timeslot))
-                engine.predictor._validate(query)
-                self._registry.counter("repro.serving.requests")
-                key = self._cache_key(engine.version, query)
-                value = self.cache.get(key, _MISS)
-                if value is not _MISS:
-                    self._registry.counter("repro.serving.cache.hits")
-                    pending.append(
-                        (
-                            None,
-                            PredictionResult(
-                                value,
-                                engine.version,
-                                cached=True,
-                                intervals=self._intervals(
-                                    engine, value, query.timeslot
-                                ),
-                            ),
-                        )
-                    )
-                else:
-                    self._registry.counter("repro.serving.cache.misses")
-                    pending.append((self._batcher.submit(query), None))
-            results: List[PredictionResult] = []
-            for future, ready in pending:
-                if ready is not None:
-                    results.append(ready)
-                else:
-                    gap, version, intervals = future.result()
-                    results.append(
-                        PredictionResult(
-                            gap, version, cached=False, intervals=intervals
-                        )
-                    )
-            return results
+                (result,) = self._answer(engine, [query], {})
+            span.set(cached=result.cached)
+        return result
 
     def predict_batch(
         self, items: Sequence[Tuple[int, int, int]]
@@ -404,15 +316,14 @@ class PredictionService:
 
         The batched transport hot path: items are partitioned into cache
         hits and misses, and *all* misses ride the batcher queue as a
-        single :class:`_BatchGroup` — one wakeup, one vectorized
-        featurize+forward over the unique queries (the fixed-block
-        ``batch_invariant()`` matmul mode and the per-block-size tape
-        cache make every row independent of its batch-mates), then one
-        cache fill per unique key.  Responses are bitwise-identical to
-        issuing the items as N sequential :meth:`predict` calls: within
-        the batch, a duplicate of an earlier miss reports ``cached=True``
-        and repeats its float exactly as it would have hit the cache the
-        sequential way.
+        single group — one wakeup, one vectorized featurize+forward over
+        the unique queries (the fixed-block ``batch_invariant()`` matmul
+        mode and the per-block-size tape cache make every row independent
+        of its batch-mates), then one cache fill per unique key.
+        Responses are bitwise-identical to issuing the items as N
+        sequential :meth:`predict` calls: within the batch, a duplicate
+        of an earlier miss reports ``cached=True`` and repeats its float
+        exactly as it would have hit the cache the sequential way.
 
         Every item is validated up front, so an invalid item raises
         :class:`DataError` before any work happens (no partial batch).
@@ -427,55 +338,54 @@ class PredictionService:
         for query in queries:
             engine.predictor._validate(query)
         with self._tracer.span("serving.predict_batch", n=len(queries)):
-            self._registry.counter("repro.serving.requests", len(queries))
             self._registry.counter("repro.serving.batch_requests")
-            results: List[Optional[PredictionResult]] = [None] * len(queries)
-            first_miss: Dict[object, int] = {}
-            miss_indices: List[int] = []
-            with self._tracer.span("cache.lookup", n=len(queries)):
-                for index, query in enumerate(queries):
-                    key = self._cache_key(engine.version, query)
-                    if key in first_miss:
-                        # Sequentially, the earlier miss would have filled
-                        # the cache by now — mirror that hit exactly,
-                        # stats included, without touching the cache.
-                        self._registry.counter("repro.serving.cache.hits")
-                        self.cache.note_hit()
-                        results[index] = first_miss[key]  # placeholder index
-                        continue
-                    value = self.cache.get(key, _MISS)
-                    if value is not _MISS:
-                        self._registry.counter("repro.serving.cache.hits")
-                        results[index] = PredictionResult(
-                            gap=value,
-                            version=engine.version,
-                            cached=True,
-                            intervals=self._intervals(
-                                engine, value, query.timeslot
-                            ),
-                        )
-                    else:
-                        self._registry.counter("repro.serving.cache.misses")
-                        first_miss[key] = index
-                        miss_indices.append(index)
-            if miss_indices:
-                group = _BatchGroup([queries[i] for i in miss_indices])
-                answers = self._batcher.submit(group).result()
-                for index, (gap, version, intervals) in zip(miss_indices, answers):
+            return self._answer(engine, queries, {"n": len(queries)})
+
+    def _answer(
+        self, engine: _Engine, queries: List[GapQuery], lookup_attrs: Dict
+    ) -> List[PredictionResult]:
+        """Cache lookups, then one batcher group for every miss.
+
+        The single cache/result path behind :meth:`predict` and
+        :meth:`predict_batch`.  Queries must already be validated.
+        """
+        self._registry.counter("repro.serving.requests", len(queries))
+        results: List[Optional[PredictionResult]] = [None] * len(queries)
+        first_miss: Dict[object, int] = {}
+        duplicates: List[Tuple[int, int]] = []
+        with self._tracer.span("cache.lookup", **lookup_attrs):
+            for index, query in enumerate(queries):
+                key = self._cache_key(engine.version, query)
+                if key in first_miss:
+                    # Sequentially, the earlier miss would have filled
+                    # the cache by now — mirror that hit exactly, stats
+                    # included, without touching the cache.
+                    self.cache.note_hit()
+                    duplicates.append((index, first_miss[key]))
+                    continue
+                value = self.cache.get(key, _MISS)
+                if value is _MISS:
+                    first_miss[key] = index
+                else:
                     results[index] = PredictionResult(
-                        gap=gap, version=version, cached=False, intervals=intervals
-                    )
-            # Resolve within-batch duplicates: an int placeholder points
-            # at the first occurrence, whose result is now materialized.
-            for index, result in enumerate(results):
-                if isinstance(result, int):
-                    source = results[result]
-                    results[index] = PredictionResult(
-                        gap=source.gap,
-                        version=source.version,
+                        gap=value,
+                        version=engine.version,
                         cached=True,
-                        intervals=source.intervals,
+                        intervals=self._intervals(engine, value, query.timeslot),
                     )
+        hits = len(queries) - len(first_miss)
+        if hits:
+            self._registry.counter("repro.serving.cache.hits", hits)
+        if first_miss:
+            misses = list(first_miss.values())
+            self._registry.counter("repro.serving.cache.misses", len(misses))
+            answers = self._batcher.submit([queries[i] for i in misses]).result()
+            for index, (gap, version, intervals) in zip(misses, answers):
+                results[index] = PredictionResult(
+                    gap=gap, version=version, cached=False, intervals=intervals
+                )
+        for index, source in duplicates:
+            results[index] = replace(results[source], cached=True)
         return results
 
     @staticmethod
@@ -521,28 +431,22 @@ class PredictionService:
         digest.update(self.dataset.traffic.level_counts[area_id, day, lo:hi].tobytes())
         return digest.digest()
 
-    def _handle_batch(self, items: List[object]) -> List[object]:
+    def _handle_batch(
+        self, groups: List[List[GapQuery]]
+    ) -> List[List[Tuple[float, str, Optional[Dict[str, float]]]]]:
         """One vectorized pass for a micro-batch (batcher thread only).
 
-        Items are single :class:`GapQuery` submissions or
-        :class:`_BatchGroup` bundles from :meth:`predict_batch`; groups
-        are flattened into the same forward pass, so a batch request
-        coalesces with concurrent single predicts at zero extra cost.
-        Duplicate queries collapse to one forward row, so every duplicate
-        gets the same float — bitwise equal to a one-at-a-time answer.
-        The batcher runs this under its ``batcher.batch`` span, so the
-        stage spans below nest there automatically.
+        Each item is the list of cache-missed queries of one
+        :meth:`predict` / :meth:`predict_batch` call; the groups are
+        flattened into one forward pass, so concurrent calls coalesce at
+        zero extra cost.  Duplicate queries collapse to one forward row,
+        so every duplicate gets the same float — bitwise equal to a
+        one-at-a-time answer.  The batcher runs this under its
+        ``batcher.batch`` span, so the stage spans below nest there
+        automatically.
         """
         engine = self._engine
-        queries: List[GapQuery] = []
-        extents: List[Tuple[int, int]] = []
-        for item in items:
-            if isinstance(item, _BatchGroup):
-                extents.append((len(queries), len(item.queries)))
-                queries.extend(item.queries)
-            else:
-                extents.append((len(queries), 1))
-                queries.append(item)
+        queries = [query for group in groups for query in group]
         keys = [self._cache_key(engine.version, query) for query in queries]
         unique: Dict[object, int] = {}
         unique_queries: List[GapQuery] = []
@@ -564,12 +468,11 @@ class PredictionService:
             answers.append(
                 (gap, engine.version, self._intervals(engine, gap, query.timeslot))
             )
-        results: List[object] = []
-        for item, (start, count) in zip(items, extents):
-            if isinstance(item, _BatchGroup):
-                results.append(answers[start:start + count])
-            else:
-                results.append(answers[start])
+        results = []
+        start = 0
+        for group in groups:
+            results.append(answers[start:start + len(group)])
+            start += len(group)
         return results
 
     # ------------------------------------------------------------------
@@ -742,8 +645,6 @@ class PredictionService:
             "swap_count": self._swap_count,
             "cache": self.cache.stats(),
             "max_batch": self.serving_config.max_batch,
-            "max_wait_ms": self.serving_config.max_wait_ms,
-            "eager_flush": self.serving_config.eager_flush,
         }
 
     def close(self) -> None:

@@ -12,6 +12,7 @@ import pytest
 from repro.city import simulate_city
 from repro.config import tiny_scale
 from repro.core import BasicDeepSD, Trainer, TrainingConfig
+from repro.core.quantiles import attach_quantile_head, fit_quantile_head
 from repro.features import FeatureBuilder
 
 
@@ -53,6 +54,20 @@ def other_checkpoint(dataset, scale, train_set, tmp_path_factory):
     return _train_checkpoint(
         dataset, scale, train_set, tmp_path_factory.mktemp("ckpt_b"), seed=2
     )
+
+
+@pytest.fixture(scope="session")
+def q_checkpoint(dataset, scale, train_set, tmp_path_factory):
+    """A trained checkpoint with a P10/P50/P90 head attached."""
+    directory = tmp_path_factory.mktemp("ckpt_quantile")
+    model = BasicDeepSD(
+        dataset.n_areas, scale.features.window_minutes, scale.embeddings, seed=3
+    )
+    trainer = Trainer(model, TrainingConfig(epochs=2, best_k=2, seed=3))
+    trainer.fit(train_set, checkpoint_dir=str(directory), checkpoint_every=1)
+    head = fit_quantile_head(trainer, train_set, epochs=60)
+    attach_quantile_head(trainer.last_checkpoint, head)
+    return trainer.last_checkpoint
 
 
 @pytest.fixture()

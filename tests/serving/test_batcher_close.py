@@ -31,7 +31,6 @@ def test_concurrent_submit_vs_close_never_hangs_a_future():
         batcher = MicroBatcher(
             lambda items: [item * 2 for item in items],
             max_batch=4,
-            max_wait_ms=0.0,
             registry=MetricsRegistry(),
         )
         start = threading.Barrier(_SUBMITTERS + 1)

@@ -1,10 +1,10 @@
 """Eager-flush batching: dispatch immediately, batch by backpressure.
 
-With ``eager_flush=True`` the worker never sleeps on ``max_wait_ms`` — it
-takes whatever is already queued and runs the handler; the *handler's own
-duration* is the batching window.  These tests pin the two halves of that
-contract: a lone submit is served without the linger delay, and items
-that queue up behind a slow handler are coalesced into one batch.
+The worker never sleeps waiting for batch-mates — it takes whatever is
+already queued and runs the handler; the *handler's own duration* is the
+batching window.  These tests pin the two halves of that contract: a
+lone submit is served at once, and items that queue up behind a slow
+handler are coalesced into one batch.
 """
 
 import threading
@@ -19,12 +19,10 @@ pytestmark = pytest.mark.serving
 
 
 def test_eager_flush_skips_the_linger_wait():
-    """A single queued item is answered without burning max_wait_ms."""
+    """A single queued item is answered without waiting for batch-mates."""
     batcher = MicroBatcher(
         lambda items: [item + 1 for item in items],
         max_batch=8,
-        max_wait_ms=200.0,  # would dominate the round trip under linger
-        eager_flush=True,
         registry=MetricsRegistry(),
     )
     try:
@@ -48,8 +46,7 @@ def test_eager_flush_coalesces_backlog_into_batches():
         return [item * 2 for item in items]
 
     batcher = MicroBatcher(
-        handler, max_batch=8, max_wait_ms=0.0, eager_flush=True,
-        registry=MetricsRegistry(),
+        handler, max_batch=8, registry=MetricsRegistry(),
     )
     try:
         first = batcher.submit(0)
@@ -80,8 +77,7 @@ def test_eager_flush_respects_max_batch():
         return list(items)
 
     batcher = MicroBatcher(
-        handler, max_batch=2, max_wait_ms=0.0, eager_flush=True,
-        registry=MetricsRegistry(),
+        handler, max_batch=2, registry=MetricsRegistry(),
     )
     try:
         first = batcher.submit(0)

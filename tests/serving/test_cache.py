@@ -126,6 +126,9 @@ class TestTTLCache:
 
 
 class TestMicroBatcher:
+    """Each test holds the handler on an Event, so the items submitted
+    meanwhile form a backlog that the eager worker then coalesces."""
+
     def test_coalesces_concurrent_submissions(self):
         registry = MetricsRegistry()
         seen_batches = []
@@ -136,8 +139,7 @@ class TestMicroBatcher:
             seen_batches.append(list(items))
             return [item * 2 for item in items]
 
-        with MicroBatcher(handler, max_batch=8, max_wait_ms=50.0,
-                          registry=registry) as batcher:
+        with MicroBatcher(handler, max_batch=8, registry=registry) as batcher:
             futures = [batcher.submit(i) for i in range(6)]
             started.set()
             results = [future.result(timeout=5) for future in futures]
@@ -157,42 +159,68 @@ class TestMicroBatcher:
             sizes.append(len(items))
             return items
 
-        batcher = MicroBatcher(handler, max_batch=3, max_wait_ms=100.0,
-                               registry=MetricsRegistry())
+        batcher = MicroBatcher(handler, max_batch=3, registry=MetricsRegistry())
         futures = [batcher.submit(i) for i in range(7)]
         release.set()
         for future in futures:
             future.result(timeout=5)
         batcher.close()
         assert max(sizes) <= 3
+        # At least four items queued behind the held first batch.
+        assert 3 in sizes
 
     def test_handler_error_fans_to_all_futures(self):
+        release = threading.Event()
+        sizes = []
+
         def handler(items):
+            release.wait(timeout=5)
+            sizes.append(len(items))
             raise RuntimeError("boom")
 
-        batcher = MicroBatcher(handler, max_batch=4, max_wait_ms=20.0,
-                               registry=MetricsRegistry())
+        batcher = MicroBatcher(handler, max_batch=4, registry=MetricsRegistry())
         futures = [batcher.submit(i) for i in range(3)]
+        release.set()
         for future in futures:
             with pytest.raises(RuntimeError, match="boom"):
                 future.result(timeout=5)
         batcher.close()
+        assert max(sizes) > 1
 
     def test_result_count_mismatch_is_an_error(self):
-        batcher = MicroBatcher(lambda items: items[:-1] if len(items) > 1 else [],
-                               max_batch=4, max_wait_ms=20.0,
-                               registry=MetricsRegistry())
+        release = threading.Event()
+
+        def handler(items):
+            release.wait(timeout=5)
+            return items[:-1] if len(items) > 1 else []
+
+        batcher = MicroBatcher(handler, max_batch=4, registry=MetricsRegistry())
         future = batcher.submit(1)
+        backlog = [batcher.submit(value) for value in (2, 3)]
+        release.set()
         with pytest.raises(RuntimeError, match="results"):
             future.result(timeout=5)
+        for pending in backlog:
+            with pytest.raises(RuntimeError, match="results"):
+                pending.result(timeout=5)
         batcher.close()
 
     def test_close_drains_then_rejects(self):
-        batcher = MicroBatcher(lambda items: items, max_batch=4,
-                               max_wait_ms=1.0, registry=MetricsRegistry())
+        release = threading.Event()
+
+        def handler(items):
+            release.wait(timeout=5)
+            return items
+
+        batcher = MicroBatcher(handler, max_batch=4, registry=MetricsRegistry())
         future = batcher.submit("x")
+        backlog = [batcher.submit(value) for value in ("y", "z")]
+        releaser = threading.Timer(0.05, release.set)
+        releaser.start()
         batcher.close()
+        releaser.join()
         assert future.result(timeout=5) == "x"
+        assert [pending.result(timeout=5) for pending in backlog] == ["y", "z"]
         with pytest.raises(RuntimeError):
             batcher.submit("y")
         batcher.close()  # idempotent
@@ -201,4 +229,4 @@ class TestMicroBatcher:
         with pytest.raises(ConfigError):
             MicroBatcher(lambda items: items, max_batch=0)
         with pytest.raises(ConfigError):
-            MicroBatcher(lambda items: items, max_wait_ms=-1.0)
+            MicroBatcher(lambda items: items, max_batch=-1)

@@ -51,7 +51,7 @@ def test_hot_swap_under_load(checkpoint, other_checkpoint, dataset, scale):
         checkpoint,
         dataset,
         scale.features,
-        serving_config=ServingConfig(max_batch=8, max_wait_ms=1.0, cache_size=256),
+        serving_config=ServingConfig(max_batch=8, cache_size=256),
     )
     # Every version tag the service can ever hand out, mapped to the
     # checkpoint it came from (v0 is the constructor's, v1..vN the swaps).

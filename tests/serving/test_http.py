@@ -20,7 +20,7 @@ def served(checkpoint, mutable_dataset, scale):
         checkpoint,
         mutable_dataset,
         scale.features,
-        serving_config=ServingConfig(max_batch=8, max_wait_ms=1.0),
+        serving_config=ServingConfig(max_batch=8),
         registry=MetricsRegistry(),
         trace=Tracer(enabled=True),
     )
@@ -209,7 +209,7 @@ def test_shutdown_replies_cleanly_and_drains_handlers(
         checkpoint,
         mutable_dataset,
         scale.features,
-        serving_config=ServingConfig(max_batch=8, max_wait_ms=1.0),
+        serving_config=ServingConfig(max_batch=8),
     )
     server = build_server(service, host="127.0.0.1", port=0)
     thread = threading.Thread(

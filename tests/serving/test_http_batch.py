@@ -1,35 +1,38 @@
-"""The ``/predict_batch`` endpoint over both server front-ends.
+"""The ``/predict_batch`` endpoint over the threaded HTTP front-end.
 
-Parametrized over ``io_loop`` so the threaded stdlib server and the
-selector event loop are proven to serve the same application with
-byte-identical response bodies — including the batch endpoint's
-bitwise-equality contract against per-item ``/predict`` calls.
+Pins the batch endpoint's bitwise-equality contract against per-item
+``/predict`` calls, its input validation, and that the front-end puts
+exactly the application's response bytes on the wire.
 """
 
 import copy
+import http.client
 import json
 import threading
 
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.serving import PredictionService, ServingConfig, build_server
+from repro.serving import PredictionService, ServiceApp, ServingConfig, build_server
 from repro.serving.router import request_json
 
 pytestmark = pytest.mark.serving
 
 
-@pytest.fixture(params=["threaded", "selector"])
-def endpoint(request, checkpoint, dataset, scale):
-    service = PredictionService.from_checkpoint(
+def _service(checkpoint, dataset, scale):
+    return PredictionService.from_checkpoint(
         str(checkpoint),
         copy.deepcopy(dataset),
         scale.features,
-        serving_config=ServingConfig(max_batch=8, max_wait_ms=0.0,
-                                     eager_flush=True),
+        serving_config=ServingConfig(max_batch=8),
         registry=MetricsRegistry(),
     )
-    server = build_server(service, io_loop=request.param)
+
+
+@pytest.fixture()
+def endpoint(checkpoint, dataset, scale):
+    service = _service(checkpoint, dataset, scale)
+    server = build_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     address = "127.0.0.1:%d" % server.server_address[1]
@@ -105,48 +108,50 @@ def test_predict_batch_size_limit(endpoint, scale):
 
 
 def test_front_ends_serve_byte_identical_bodies(checkpoint, dataset, scale):
-    """The same service behind both io_loops answers every route with
-    the exact same bytes (headers differ — the stdlib server stamps
-    Date/Server — but the payload is the application's alone)."""
+    """The HTTP front-end answers every route with exactly the bytes the
+    application renders in-process (headers differ — the stdlib server
+    stamps Date/Server — but the payload is the application's alone)."""
     items = _items(scale, 4)
-    bodies = {}
-    for io_loop in ("threaded", "selector"):
-        service = PredictionService.from_checkpoint(
-            str(checkpoint),
-            copy.deepcopy(dataset),
-            scale.features,
-            serving_config=ServingConfig(max_batch=8, max_wait_ms=0.0,
-                                         eager_flush=True),
-            registry=MetricsRegistry(),
-        )
-        server = build_server(service, io_loop=io_loop)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        address = "127.0.0.1:%d" % server.server_address[1]
-        try:
-            collected = []
-            status, payload = request_json(
-                address, "POST", "/predict_batch", {"items": items}
+    script = [
+        ("POST", "/predict_batch", {"items": items}),
+        ("POST", "/predict", items[0]),
+        ("GET", "/healthz", None),
+        ("POST", "/predict_batch", {"items": "bad"}),
+    ]
+    direct_service = _service(checkpoint, dataset, scale)
+    app = ServiceApp(direct_service)
+    try:
+        expected = [
+            app.handle(
+                method, path,
+                json.dumps(body).encode() if body is not None else b"",
+            ).data
+            for method, path, body in script
+        ]
+    finally:
+        direct_service.close()
+
+    service = _service(checkpoint, dataset, scale)
+    server = build_server(service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    connection = http.client.HTTPConnection(
+        "127.0.0.1", server.server_address[1], timeout=30
+    )
+    try:
+        wire = []
+        for method, path, body in script:
+            connection.request(
+                method, path,
+                body=json.dumps(body) if body is not None else None,
+                headers={"Content-Type": "application/json"},
             )
-            assert status == 200
-            collected.append(payload)
-            status, payload = request_json(
-                address, "POST", "/predict", items[0]
-            )
-            assert status == 200
-            collected.append(payload)
-            status, payload = request_json(address, "GET", "/healthz")
-            assert status == 200
-            collected.append(payload)
-            status, payload = request_json(
-                address, "POST", "/predict_batch", {"items": "bad"}
-            )
-            assert status == 400
-            collected.append(payload)
-            bodies[io_loop] = json.dumps(collected, sort_keys=True)
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-            service.close()
-    assert bodies["threaded"] == bodies["selector"]
+            wire.append(connection.getresponse().read())
+    finally:
+        connection.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        service.close()
+    assert wire == expected
+    assert [json.loads(data) for data in wire][3]["error"]

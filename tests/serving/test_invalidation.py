@@ -19,7 +19,7 @@ def service(checkpoint, mutable_dataset, scale):
         checkpoint,
         mutable_dataset,
         scale.features,
-        serving_config=ServingConfig(max_batch=8, max_wait_ms=0.0),
+        serving_config=ServingConfig(max_batch=8),
     )
     yield svc
     svc.close()

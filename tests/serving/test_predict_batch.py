@@ -27,8 +27,7 @@ def _make_service(checkpoint, dataset, scale, max_batch=8):
         str(checkpoint),
         dataset,
         scale.features,
-        serving_config=ServingConfig(max_batch=max_batch, max_wait_ms=0.0,
-                                     eager_flush=True, cache_size=256),
+        serving_config=ServingConfig(max_batch=max_batch, cache_size=256),
         registry=MetricsRegistry(),
     )
 

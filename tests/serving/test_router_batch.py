@@ -41,7 +41,7 @@ def _reference_service(city_path, checkpoint, scale):
         checkpoint,
         CityDataset.load(city_path),
         scale.features,
-        serving_config=ServingConfig(max_batch=32, max_wait_ms=2.0),
+        serving_config=ServingConfig(max_batch=32),
         registry=MetricsRegistry(),
     )
 

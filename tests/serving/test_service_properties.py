@@ -62,9 +62,6 @@ def test_batched_responses_match_single_queries(
         label="queries",
     )
     max_batch = data.draw(st.integers(1, 8), label="max_batch")
-    max_wait_ms = data.draw(
-        st.sampled_from([0.0, 1.0, 5.0]), label="max_wait_ms"
-    )
     ttl = data.draw(st.sampled_from([None, 60.0]), label="ttl")
     n_threads = data.draw(st.integers(1, 4), label="n_threads")
 
@@ -74,7 +71,6 @@ def test_batched_responses_match_single_queries(
         scale.features,
         serving_config=ServingConfig(
             max_batch=max_batch,
-            max_wait_ms=max_wait_ms,
             cache_ttl_seconds=ttl,
             cache_size=64,
         ),
@@ -106,7 +102,7 @@ def test_batched_responses_match_single_queries(
             assert got == expected, (
                 f"query {query} served {got!r} but single-query "
                 f"reference is {expected!r} (batch={max_batch}, "
-                f"wait={max_wait_ms}, threads={n_threads})"
+                f"threads={n_threads})"
             )
     finally:
         service.close()

@@ -13,6 +13,8 @@ import numpy as np
 
 from repro.serving import PredictionService, ServingConfig
 
+from .per_row_featurize import signals_per_row
+
 
 def _make_service(checkpoint, dataset, scale, *, use_tape, max_batch=8):
     return PredictionService.from_checkpoint(
@@ -21,7 +23,6 @@ def _make_service(checkpoint, dataset, scale, *, use_tape, max_batch=8):
         scale.features,
         serving_config=ServingConfig(
             max_batch=max_batch,
-            max_wait_ms=1.0,
             cache_size=1,  # effectively uncached: every query recomputes
             use_tape=use_tape,
         ),
@@ -90,24 +91,31 @@ def test_taped_service_batch_invariant(checkpoint, dataset, scale):
 
 
 def test_vectorized_featurize_matches_per_row(checkpoint, dataset, scale):
-    """The grouped featurizer and the historical per-row loop agree bitwise,
-    in both field modes (builder-parity "all" and serving's "model")."""
-    queries = _queries(dataset, scale, n=12)
+    """The grouped featurizer and the row-at-a-time oracle agree bitwise,
+    on every signal array in builder-parity "all" mode and on the
+    predictions in both field modes ("all" and serving's "model")."""
+    from repro.core import GapQuery
+    from repro.features.builder import SIGNALS
+
+    queries = [GapQuery(*q) for q in _queries(dataset, scale, n=12)]
+    time_ids = np.array([q.timeslot for q in queries], dtype=np.int64)
     service = _make_service(checkpoint, dataset, scale, use_tape=False)
     try:
         predictor = service._engine.predictor
-        from repro.core import GapQuery
-
-        gap_queries = [GapQuery(*q) for q in queries]
+        trainer = service._engine.trainer
+        predictor.feature_fields = "all"
+        grouped = predictor._signals_grouped(queries, time_ids)
+        oracle = signals_per_row(predictor, queries)
+        for fast, slow in zip(grouped, oracle):
+            for name in SIGNALS:
+                assert np.array_equal(fast[name], slow[name]), name
+        # The oracle's arrays through the rest of _featurize.
+        predictor._signals_grouped = lambda q, t: signals_per_row(predictor, q)
+        slow_pred = trainer.predict(predictor._featurize(queries))
+        del predictor._signals_grouped
         for fields in ("model", "all"):
             predictor.feature_fields = fields
-            predictor.vectorized_featurize = True
-            fast = predictor._featurize(gap_queries)
-            predictor.vectorized_featurize = False
-            predictor.feature_fields = "all"
-            slow = predictor._featurize(gap_queries)
-            fast_pred = service._engine.trainer.predict(fast)
-            slow_pred = service._engine.trainer.predict(slow)
+            fast_pred = trainer.predict(predictor._featurize(queries))
             assert np.array_equal(fast_pred, slow_pred), fields
     finally:
         service.close()

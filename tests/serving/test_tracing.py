@@ -8,6 +8,8 @@ purely observational: enabling it cannot move a single bit of any served
 gap (the PR-4 parity contract).
 """
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,9 +26,7 @@ def _service(checkpoint, dataset, scale, trace, **config):
         dataset,
         scale.features,
         serving_config=ServingConfig(
-            max_batch=config.pop("max_batch", 4),
-            max_wait_ms=config.pop("max_wait_ms", 1.0),
-            **config,
+            max_batch=config.pop("max_batch", 4), **config
         ),
         trace=trace,
     )
@@ -88,16 +88,29 @@ class TestSpanTree:
         self, checkpoint, dataset, scale
     ):
         tracer = Tracer(enabled=True)
-        service = _service(checkpoint, dataset, scale, tracer, max_wait_ms=5.0)
+        service = _service(checkpoint, dataset, scale, tracer)
+        queries = [(0, 2, 60), (1, 2, 60), (2, 2, 60)]
+        threads = [
+            threading.Thread(target=service.predict_batch, args=([query],))
+            for query in queries
+        ]
         try:
-            service.predict_many([(0, 2, 60), (1, 2, 60), (2, 2, 60)])
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
         finally:
             service.close()
         spans = tracer.spans()
         waits = [s for s in spans if s.name == "batcher.queue_wait"]
         assert len(waits) == 3
-        root = next(s for s in spans if s.name == "serving.predict_many")
-        assert all(w.trace_id == root.trace_id for w in waits)
+        roots = {
+            s.span_id: s for s in spans if s.name == "serving.predict_batch"
+        }
+        assert len(roots) == 3
+        # Each request's wait hangs off its own root, in its own trace.
+        assert sorted(w.parent_id for w in waits) == sorted(roots)
+        assert all(w.trace_id == roots[w.parent_id].trace_id for w in waits)
         batches = [s for s in spans if s.name == "batcher.batch"]
         assert sum(s.attrs["batch_size"] for s in batches) == 3
 
@@ -115,14 +128,14 @@ class TestSpanTree:
 class TestBatcherMetrics:
     def test_queue_depth_gauge_is_sampled(self):
         registry = MetricsRegistry()
-        with MicroBatcher(lambda items: items, max_batch=4, max_wait_ms=1.0,
+        with MicroBatcher(lambda items: items, max_batch=4,
                           registry=registry) as batcher:
             batcher.submit("x").result(timeout=5)
         assert "repro.serving.batcher.queue_depth" in registry.gauges
 
     def test_untraced_submit_costs_no_span_state(self):
         tracer = Tracer(enabled=False)
-        with MicroBatcher(lambda items: items, max_batch=4, max_wait_ms=1.0,
+        with MicroBatcher(lambda items: items, max_batch=4,
                           registry=MetricsRegistry(), tracer=tracer) as batcher:
             assert batcher.submit("x").result(timeout=5) == "x"
         assert len(tracer) == 0

@@ -89,10 +89,10 @@ def test_threaded_server_replies_without_delayed_ack_stall(
         checkpoint,
         dataset,
         scale.features,
-        serving_config=ServingConfig(max_batch=8, max_wait_ms=1.0),
+        serving_config=ServingConfig(max_batch=8),
         registry=MetricsRegistry(),
     )
-    server = build_server(service, io_loop="threaded")
+    server = build_server(service)
     accepted = _track_accepted(server)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
