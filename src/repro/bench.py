@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import tempfile
 import time
 from contextlib import contextmanager
@@ -46,6 +47,8 @@ DEFAULT_BENCH_PATH = "BENCH_perf.json"
 #: A recorded throughput may not drop below 1/REGRESSION_FACTOR of the
 #: committed baseline (generous: benchmarks run on heterogeneous machines).
 REGRESSION_FACTOR = 2.0
+#: Warm serving passes over the same cache hits; the median is reported.
+WARM_PASSES = 5
 
 
 @contextmanager
@@ -196,7 +199,7 @@ def bench_serving(scale_name: str) -> Dict[str, float]:
     throughput does not depend on the parameter values) and drives it
     from a few submitter threads, the same concurrency shape the HTTP
     front-end produces.  The cold pass answers distinct queries through
-    featurize + forward; the warm pass re-asks them and must be answered
+    featurize + forward; the warm passes re-ask them and must be answered
     from the LRU cache.  ``serving.taped.identical`` asserts that one
     untimed module-dispatch service returned bitwise the same gaps.
     """
@@ -283,8 +286,13 @@ def bench_serving(scale_name: str) -> Dict[str, float]:
     cold_seconds = timed_pass()
     metrics = request_quantiles("serving.cold")
     registry.reset()
-    warm_seconds = timed_pass()
+    warm_passes = [timed_pass()]
     metrics.update(request_quantiles("serving.warm"))
+    # One warm pass lasts about one GIL switch interval, so a single
+    # scheduling stall can halve its rate: the throughput is the median
+    # of WARM_PASSES passes over the same hits (latencies: the first).
+    warm_passes += [timed_pass() for _ in range(WARM_PASSES - 1)]
+    warm_seconds = statistics.median(warm_passes)
     service.close()
     items = float(len(queries))
     metrics.update(

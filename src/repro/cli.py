@@ -282,10 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="prediction-cache time-to-live (default: no expiry)",
     )
     serve.add_argument(
-        "--max-profiles", type=int, default=None, metavar="N",
-        help="bound the warm per-(area, day) featurization cache",
-    )
-    serve.add_argument(
         "--no-tape", action="store_true",
         help="serve through module dispatch instead of the execution "
              "tape (responses are bitwise-identical either way)",
@@ -775,7 +771,6 @@ def cmd_serve(args) -> int:
                 max_batch=args.max_batch,
                 cache_size=args.cache_size,
                 cache_ttl_seconds=args.cache_ttl,
-                max_profiles=args.max_profiles,
                 use_tape=False if args.no_tape else None,
             ),
         )

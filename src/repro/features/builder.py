@@ -22,18 +22,15 @@ from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
-from ..city.calendar import SimulationCalendar
 from ..config import FeatureConfig
 from ..exceptions import DataError
 from ..obs import get_logger, get_registry
 from .environment import Standardizer, extract_environment
-from .history import HistoryAccumulator
-from .vectors import AreaDayProfile
+from .history import AreaHistory, signal_arrays
+from .vectors import SIGNALS
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..city.dataset import CityDataset
-
-SIGNALS = ("sd", "lc", "wt")
 
 _log = get_logger(__name__)
 
@@ -170,10 +167,9 @@ class ExampleSet:
 class FeatureBuilder:
     """Builds train and test :class:`ExampleSet` objects from a city.
 
-    One pass computes the real-time vectors of all three signals for every
-    (area, day) at every timeslot any item needs — including the ``t + C``
-    slots the historical estimates require — then accumulates per-weekday
-    histories and assembles items.
+    Each area's real-time and historical vectors come from one
+    :class:`~repro.features.history.AreaHistory`; the areas are built one
+    after another into the same table arrays.
     """
 
     def __init__(self, dataset: "CityDataset", config: FeatureConfig | None = None):
@@ -262,33 +258,6 @@ class FeatureBuilder:
     # Assembly
     # ------------------------------------------------------------------
 
-    def _all_slots(self) -> np.ndarray:
-        """Union of item slots and their ``t + C`` shifts, sorted."""
-        config = self.config
-        slots = set(config.train_timeslots()) | set(config.test_timeslots())
-        slots |= {s + config.gap_minutes for s in slots}
-        return np.array(sorted(slots))
-
-    def _area_signal_tables(
-        self, area_id: int, all_slots: np.ndarray
-    ) -> Dict[str, Tuple[np.ndarray, HistoryAccumulator]]:
-        """Real-time vectors + history accumulator per signal for one area."""
-        dataset, config = self.dataset, self.config
-        calendar: SimulationCalendar = dataset.calendar
-        n_days = config.n_days
-        L = config.window_minutes
-        tables: Dict[str, Tuple[np.ndarray, HistoryAccumulator]] = {}
-        per_signal = {name: [] for name in SIGNALS}
-        for day in range(n_days):
-            profile = AreaDayProfile(dataset, area_id, day, L)
-            per_signal["sd"].append(profile.supply_demand_vectors(all_slots))
-            per_signal["lc"].append(profile.last_call_vectors(all_slots))
-            per_signal["wt"].append(profile.waiting_time_vectors(all_slots))
-        for name in SIGNALS:
-            vectors = np.stack(per_signal[name])  # (n_days, n_slots, 2L)
-            tables[name] = (vectors, HistoryAccumulator(calendar, vectors))
-        return tables
-
     def _build_items(
         self, items: Tuple[np.ndarray, np.ndarray, np.ndarray]
     ) -> ExampleSet:
@@ -296,32 +265,18 @@ class FeatureBuilder:
         area_ids, day_ids, time_ids = items
         n = len(area_ids)
         L = config.window_minutes
-        all_slots = self._all_slots()
+        n_days = int(day_ids.max()) + 1
 
-        now = {name: np.empty((n, 2 * L), dtype=np.float32) for name in SIGNALS}
-        hist = {name: np.empty((n, 7, 2 * L), dtype=np.float32) for name in SIGNALS}
-        hist_next = {
-            name: np.empty((n, 7, 2 * L), dtype=np.float32) for name in SIGNALS
-        }
-
+        signals = signal_arrays(n, L)
+        # One area's tables at a time, all in the same arrays: they are the
+        # featurizer's largest allocation (about a megabyte per day).
+        history = None
         for area in np.unique(area_ids):
-            tables = self._area_signal_tables(int(area), all_slots)
             rows = np.flatnonzero(area_ids == area)
-            # all_slots is sorted and contains every item slot and its
-            # t + C shift by construction, so searchsorted is an exact
-            # vectorized lookup (no per-row dict indexing).
-            slot_now = np.searchsorted(all_slots, time_ids[rows])
-            slot_next = np.searchsorted(
-                all_slots, time_ids[rows] + config.gap_minutes
+            history = AreaHistory(dataset, int(area), n_days, L, reuse=history)
+            history.fill(
+                signals, rows, day_ids[rows], time_ids[rows], config.gap_minutes
             )
-            days = day_ids[rows]
-            for name in SIGNALS:
-                vectors, accumulator = tables[name]
-                now[name][rows] = vectors[days, slot_now]
-                hist[name][rows] = accumulator.history_before_batch(days, slot_now)
-                hist_next[name][rows] = accumulator.history_before_batch(
-                    days, slot_next
-                )
 
         environment = extract_environment(dataset, area_ids, day_ids, time_ids, L)
         week_ids = (
@@ -334,15 +289,7 @@ class FeatureBuilder:
             time_ids=time_ids.astype(np.int64),
             week_ids=week_ids,
             day_ids=day_ids.astype(np.int64),
-            sd_now=now["sd"],
-            sd_hist=hist["sd"],
-            sd_hist_next=hist_next["sd"],
-            lc_now=now["lc"],
-            lc_hist=hist["lc"],
-            lc_hist_next=hist_next["lc"],
-            wt_now=now["wt"],
-            wt_hist=hist["wt"],
-            wt_hist_next=hist_next["wt"],
+            **signals,
             weather_types=environment.weather_types,
             temperature=environment.temperature.astype(np.float32),
             pm25=environment.pm25.astype(np.float32),

@@ -4,7 +4,7 @@
 conclusion sketches (DeepSD inside Didi's scheduling system).  It loads a
 trained model from a checkpoint bundle (:meth:`from_checkpoint`), keeps
 warm per-city featurization state (the :class:`~repro.core.GapPredictor`
-profile cache), and answers ``predict(area, day, timeslot)`` queries
+per-area history tables), and answers ``predict(area, day, timeslot)`` queries
 through a micro-batching queue: concurrent requests accumulate while the
 previous batch is in flight, then are featurized and forwarded in one
 vectorized pass and fanned back out.
@@ -78,7 +78,6 @@ class ServingConfig:
     max_batch: int = 32
     cache_size: int = 4096
     cache_ttl_seconds: Optional[float] = None
-    max_profiles: Optional[int] = None
     #: Execution-tape forwards: None defers to the trainer/model default
     #: (on for tape-safe models); False forces module dispatch.  Applied
     #: to every engine, including hot-swapped checkpoints.
@@ -255,18 +254,7 @@ class PredictionService:
     def _make_predictor(
         self, trainer: Trainer, scalers: Dict[str, Tuple[float, float]]
     ) -> GapPredictor:
-        predictor = GapPredictor(
-            trainer,
-            self.dataset,
-            self.config,
-            scalers,
-            max_profiles=self.serving_config.max_profiles,
-        )
-        # Serving only ever consumes predictions, so featurize just the
-        # arrays the model reads — a model without history inputs then
-        # skips prior-day profile builds, the bulk of the cold-path cost.
-        predictor.feature_fields = "model"
-        return predictor
+        return GapPredictor(trainer, self.dataset, self.config, scalers)
 
     # ------------------------------------------------------------------
     # Serving
@@ -418,7 +406,7 @@ class PredictionService:
         Keys change whenever the environment inputs the model would see
         change, so cached gaps can never outlive the data they were
         computed from.  Order counts are intentionally NOT hashed (the
-        profile vectors are too wide to hash per request); order
+        signal vectors are too wide to hash per request); order
         observations rely on targeted invalidation instead.
         """
         L = self.config.window_minutes
@@ -518,12 +506,13 @@ class PredictionService:
         timeslots ``t`` with ``m < t <= m + L`` — only those cache
         entries are dropped (for every area on weather, which is
         city-wide; for ``area_id`` alone on traffic and orders).  Order
-        observations additionally drop the warm profile for
-        ``(area_id, day)`` and any cached entry for later days in that
-        area, whose per-weekday histories may average over the mutated
-        day.
+        observations additionally update the area's history tables in
+        place (:meth:`GapPredictor.refresh_orders`) and drop any cached
+        entry for later days in that area, whose per-weekday histories may
+        average over the mutated day.
 
-        Returns ``{"invalidated": n, "profiles_dropped": m}``.
+        Returns ``{"invalidated": n, "profiles_dropped": m}``, where ``m``
+        is 1 if the area's history tables were held and updated.
         """
         if kind not in ObservationKind:
             raise DataError(f"unknown observation kind {kind!r}; known: {ObservationKind}")
@@ -568,7 +557,7 @@ class PredictionService:
 
         else:  # orders
             self._apply_orders(area_id, day, minute, values)
-            profiles_dropped = self._engine.predictor.drop_profiles(area_id, day)
+            profiles_dropped = self._engine.predictor.refresh_orders(area_id, day)
 
             def stale(key) -> bool:
                 if key[1] != area_id:

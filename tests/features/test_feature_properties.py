@@ -7,15 +7,16 @@ These hold for *any* timeslot of any simulated area-day:
   exceeds the order counts;
 - the waiting-time vector counts at most the passengers whose sessions fit
   in the window;
-- history accumulators are exact running means.
+- per-weekday histories from the summed tables are exact running means.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.city import SimulationCalendar
-from repro.features import AreaDayProfile, HistoryAccumulator
+from repro.features import AreaDayProfile
+
+from .test_history_builder import FlatCity, sd_history
 
 L = 20
 
@@ -106,13 +107,13 @@ def test_all_vectors_non_negative(dataset_global, area, day, t):
     st.integers(min_value=0, max_value=1000),
 )
 def test_history_accumulator_is_running_mean(n_days, start_weekday, seed):
+    """AreaHistory's per-weekday history is the exact mean over prior days."""
     rng = np.random.default_rng(seed)
-    calendar = SimulationCalendar(n_days=n_days, start_weekday=start_weekday)
-    vectors = rng.normal(size=(n_days, 2, 3))
-    accumulator = HistoryAccumulator(calendar, vectors)
-    day = int(rng.integers(0, n_days + 1))
-    history = accumulator.history_before(day)
+    counts = rng.integers(0, 50, size=n_days)
+    city = FlatCity(counts, start_weekday=start_weekday)
+    day = int(rng.integers(0, n_days))
+    history = sd_history(city, [day])[0]
     for weekday in range(7):
-        prior = calendar.days_with_weekday(weekday, before=day)
-        expected = vectors[prior].mean(axis=0) if prior else np.zeros((2, 3))
-        np.testing.assert_allclose(history[weekday], expected, atol=1e-12)
+        prior = city.calendar.days_with_weekday(weekday, before=day)
+        expected = counts[prior].mean() if prior else 0.0
+        assert history[weekday] == np.float32(expected)

@@ -3,111 +3,132 @@
 import numpy as np
 import pytest
 
-from repro.city import SimulationCalendar
+from repro.city import ORDER_DTYPE, SESSION_DTYPE, SimulationCalendar
 from repro.exceptions import DataError
 from repro.features import (
+    AreaDayProfile,
+    AreaHistory,
     ExampleSet,
     FeatureBuilder,
-    HistoryAccumulator,
     Standardizer,
-    empirical_combination,
     extract_environment,
     linear_design_matrix,
+    signal_arrays,
     tree_design_matrix,
 )
 
 
+class FlatCity:
+    """A one-area city with ``counts[day]`` valid orders in every minute of
+    each day and no order records: its supply-demand vectors are
+    ``counts[day]`` in the valid half and zero elsewhere, and its other
+    signals are zero."""
+
+    n_areas = 1
+
+    def __init__(self, counts, start_weekday=0):
+        counts = np.asarray(counts, dtype=np.int64)
+        self.calendar = SimulationCalendar(
+            n_days=len(counts), start_weekday=start_weekday
+        )
+        self.valid_counts = np.repeat(counts[None, :, None], 1440, axis=2)
+        self.invalid_counts = np.zeros_like(self.valid_counts)
+
+    def area_day_orders(self, area_id, day):
+        return np.zeros(0, dtype=ORDER_DTYPE)
+
+    def area_day_sessions(self, area_id, day):
+        return np.zeros(0, dtype=SESSION_DTYPE)
+
+
+def sd_history(city, days, slots=None, L=3):
+    """``(n, 7)`` valid-half supply-demand history of area 0, checked to be
+    flat over the window and zero in the invalid half."""
+    days = np.asarray(days)
+    slots = np.full(len(days), 30) if slots is None else np.asarray(slots)
+    arrays = signal_arrays(len(days), L)
+    AreaHistory(city, 0, city.calendar.n_days, L).fill(
+        arrays, np.arange(len(days)), days, slots, 10
+    )
+    hist = arrays["sd_hist"]
+    np.testing.assert_array_equal(hist[..., L:], 0.0)
+    assert (hist[..., :L] == hist[..., :1]).all()
+    return hist[..., 0]
+
+
 class TestHistoryAccumulator:
+    """Per-weekday history means read from ``AreaHistory``'s tables."""
+
     @pytest.fixture
-    def accumulator(self):
-        # 21 days starting Monday, 2 slots, dim 3; vectors = day index.
-        calendar = SimulationCalendar(n_days=21, start_weekday=0)
-        vectors = np.zeros((21, 2, 3))
-        for day in range(21):
-            vectors[day] = day
-        return HistoryAccumulator(calendar, vectors), vectors
+    def city(self):
+        # 21 days starting Monday; every vector entry = day index.
+        return FlatCity(np.arange(21))
 
-    def test_no_history_is_zero(self, accumulator):
-        acc, _ = accumulator
-        np.testing.assert_array_equal(acc.history_before(0), np.zeros((7, 2, 3)))
+    def test_no_history_is_zero(self, city):
+        np.testing.assert_array_equal(sd_history(city, [0]), np.zeros((1, 7)))
 
-    def test_single_prior_day(self, accumulator):
-        acc, _ = accumulator
+    def test_single_prior_day(self, city):
         # Day 8 (Tuesday): only Tuesday so far is day 1.
-        np.testing.assert_allclose(acc.history_before(8)[1], np.full((2, 3), 1.0))
+        assert sd_history(city, [8])[0, 1] == 1.0
 
-    def test_average_of_two_prior_days(self, accumulator):
-        acc, _ = accumulator
+    def test_average_of_two_prior_days(self, city):
         # Day 15 (Tuesday): Tuesdays 1 and 8 -> mean 4.5.
-        np.testing.assert_allclose(acc.history_before(15)[1], np.full((2, 3), 4.5))
+        assert sd_history(city, [15])[0, 1] == 4.5
 
-    def test_unseen_weekday_stays_zero(self, accumulator):
-        acc, _ = accumulator
+    def test_unseen_weekday_stays_zero(self, city):
         # Before day 3 (Thursday), no Thursday has occurred.
-        np.testing.assert_array_equal(acc.history_before(3)[3], np.zeros((2, 3)))
+        assert sd_history(city, [3])[0, 3] == 0.0
 
-    def test_strictly_prior(self, accumulator):
-        acc, _ = accumulator
+    def test_strictly_prior(self):
         # The day itself must not be included: day 7 is a Monday, history
         # for Monday before day 7 is just day 0.
-        np.testing.assert_allclose(acc.history_before(7)[0], np.zeros((2, 3)))
+        city = FlatCity(np.arange(21) + 5)
+        assert sd_history(city, [7])[0, 0] == 5.0
 
-    def test_matches_manual_average(self):
-        rng = np.random.default_rng(0)
-        calendar = SimulationCalendar(n_days=28, start_weekday=3)
-        vectors = rng.normal(size=(28, 4, 5))
-        acc = HistoryAccumulator(calendar, vectors)
-        day = 20
-        for weekday in range(7):
-            prior = calendar.days_with_weekday(weekday, before=day)
-            expected = (
-                vectors[prior].mean(axis=0) if prior else np.zeros((4, 5))
-            )
-            np.testing.assert_allclose(acc.history_before(day)[weekday], expected)
-
-    def test_batch_matches_single(self, accumulator):
-        acc, _ = accumulator
-        days = np.array([3, 8, 15])
-        slots = np.array([0, 1, 0])
-        batch = acc.history_before_batch(days, slots)
-        for i in range(3):
-            np.testing.assert_array_equal(
-                batch[i], acc.history_before(int(days[i]))[:, slots[i], :]
-            )
-
-    def test_validation(self):
-        calendar = SimulationCalendar(n_days=3)
-        with pytest.raises(ValueError):
-            HistoryAccumulator(calendar, np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            HistoryAccumulator(calendar, np.zeros((5, 2, 2)))
-        acc = HistoryAccumulator(calendar, np.zeros((3, 2, 2)))
-        with pytest.raises(ValueError):
-            acc.history_before(4)
-        with pytest.raises(ValueError):
-            acc.history_before_batch(np.array([0]), np.array([0, 1]))
-
-
-class TestEmpiricalCombination:
-    def test_uniform_weights_average(self):
-        history = np.arange(7.0)[:, None] * np.ones((7, 4))
-        out = empirical_combination(history, np.full(7, 1 / 7))
-        np.testing.assert_allclose(out, np.full(4, 3.0))
-
-    def test_one_hot_weights_select(self):
-        history = np.arange(7.0)[:, None] * np.ones((7, 4))
-        weights = np.zeros(7)
-        weights[2] = 1.0
-        np.testing.assert_allclose(
-            empirical_combination(history, weights), np.full(4, 2.0)
+    def test_matches_manual_average(self, dataset):
+        """Every signal's history equals the mean of the prior same-weekday
+        days' profile vectors, bit for bit."""
+        L, area, day, t = 20, 3, 9, 610
+        arrays = signal_arrays(1, L)
+        AreaHistory(dataset, area, dataset.n_days, L).fill(
+            arrays, np.array([0]), np.array([day]), np.array([t]), 10
         )
+        for weekday in range(7):
+            prior = dataset.calendar.days_with_weekday(weekday, before=day)
+            profiles = [AreaDayProfile(dataset, area, m, L) for m in prior]
+            for name, method in (
+                ("sd", "supply_demand_vector"),
+                ("lc", "last_call_vector"),
+                ("wt", "waiting_time_vector"),
+            ):
+                for field, slot in (("hist", t), ("hist_next", t + 10)):
+                    expected = (
+                        np.mean([getattr(p, method)(slot) for p in profiles], axis=0)
+                        if prior else np.zeros(2 * L)
+                    )
+                    np.testing.assert_array_equal(
+                        arrays[f"{name}_{field}"][0, weekday],
+                        expected.astype(np.float32),
+                    )
 
-    def test_invalid_weights(self):
-        history = np.zeros((7, 4))
+    def test_batch_matches_single(self, city):
+        days = np.array([3, 8, 15, 20])
+        slots = np.array([30, 300, 1430, 3])
+        batch = sd_history(city, days, slots)
+        for i in range(len(days)):
+            np.testing.assert_array_equal(
+                batch[i], sd_history(city, days[i:i + 1], slots[i:i + 1])[0]
+            )
+
+    def test_validation(self, city):
+        history = AreaHistory(city, 0, 21, 3)
+        arrays = signal_arrays(1, 3)
         with pytest.raises(ValueError):
-            empirical_combination(history, np.ones(7))
-        with pytest.raises(ValueError):
-            empirical_combination(history, np.full(6, 1 / 6))
+            history.fill(arrays, np.array([0]), np.array([21]), np.array([30]), 10)
+        with pytest.raises(DataError):
+            history.fill(arrays, np.array([0]), np.array([0]), np.array([2]), 10)
+        with pytest.raises(DataError):
+            history.fill(arrays, np.array([0]), np.array([0]), np.array([1435]), 10)
 
 
 class TestEnvironmentExtraction:

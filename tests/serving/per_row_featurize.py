@@ -1,13 +1,15 @@
-"""The row-at-a-time featurizer: the oracle for ``GapPredictor``'s grouped one.
+"""The row-at-a-time featurizer: the oracle for the shared history tables.
 
 For each query it extracts every signal's current vector and, for each
 weekday, the mean of that vector over every prior day with that weekday,
-one row and one day at a time.  ``GapPredictor._signals_grouped`` must
-produce bitwise the same arrays.
+one row and one day at a time, from freshly built ``AreaDayProfile``s.
+``AreaHistory.fill`` (and so ``GapPredictor._featurize`` and
+``FeatureBuilder``) must produce bitwise the same arrays.
 """
 
 import numpy as np
 
+from repro.features import AreaDayProfile, signal_arrays
 from repro.features.builder import SIGNALS
 
 
@@ -19,41 +21,44 @@ def signal_vector(profile, timeslot, signal):
     return profile.waiting_time_vector(timeslot)
 
 
-def history(predictor, area_id, day, timeslot, signal):
+def history(profile, dataset, area_id, day, timeslot, signal):
     """Per-weekday mean of a signal's vectors over prior days — (7, 2L)."""
-    calendar = predictor.dataset.calendar
-    L = predictor.config.window_minutes
-    means = np.zeros((7, 2 * L))
+    calendar = dataset.calendar
+    means = np.zeros((7, 2 * profile(area_id, day).window))
     for weekday in range(7):
         prior = calendar.days_with_weekday(weekday, before=day)
         if not prior:
             continue
         vectors = [
-            signal_vector(predictor._profile(area_id, m), timeslot, signal)
-            for m in prior
+            signal_vector(profile(area_id, m), timeslot, signal) for m in prior
         ]
         means[weekday] = np.mean(vectors, axis=0)
     return means
 
 
-def signals_per_row(predictor, queries):
-    """``(now, hist, hist_next)`` signal arrays, every signal filled, in
-    the layout ``GapPredictor._signals_grouped`` returns."""
-    config = predictor.config
+def signals_per_row(dataset, config, queries):
+    """All nine ExampleSet signal arrays for ``(area, day, timeslot)``
+    queries, as ``signal_arrays`` lays them out."""
     L = config.window_minutes
-    n = len(queries)
-    now = {name: np.empty((n, 2 * L), dtype=np.float32) for name in SIGNALS}
-    hist = {name: np.empty((n, 7, 2 * L), dtype=np.float32) for name in SIGNALS}
-    hist_next = {name: np.empty((n, 7, 2 * L), dtype=np.float32) for name in SIGNALS}
+    profiles = {}
+
+    def profile(area_id, day):
+        if (area_id, day) not in profiles:
+            profiles[area_id, day] = AreaDayProfile(dataset, area_id, day, L)
+        return profiles[area_id, day]
+
+    arrays = signal_arrays(len(queries), L)
     for i, query in enumerate(queries):
-        profile = predictor._profile(query.area_id, query.day)
-        shifted = query.timeslot + config.gap_minutes
+        area_id, day, timeslot = (int(v) for v in query)
+        shifted = timeslot + config.gap_minutes
         for name in SIGNALS:
-            now[name][i] = signal_vector(profile, query.timeslot, name)
-            hist[name][i] = history(
-                predictor, query.area_id, query.day, query.timeslot, name
+            arrays[f"{name}_now"][i] = signal_vector(
+                profile(area_id, day), timeslot, name
             )
-            hist_next[name][i] = history(
-                predictor, query.area_id, query.day, shifted, name
+            arrays[f"{name}_hist"][i] = history(
+                profile, dataset, area_id, day, timeslot, name
             )
-    return now, hist, hist_next
+            arrays[f"{name}_hist_next"][i] = history(
+                profile, dataset, area_id, day, shifted, name
+            )
+    return arrays

@@ -91,31 +91,40 @@ def test_taped_service_batch_invariant(checkpoint, dataset, scale):
 
 
 def test_vectorized_featurize_matches_per_row(checkpoint, dataset, scale):
-    """The grouped featurizer and the row-at-a-time oracle agree bitwise,
-    on every signal array in builder-parity "all" mode and on the
-    predictions in both field modes ("all" and serving's "model")."""
-    from repro.core import GapQuery
-    from repro.features.builder import SIGNALS
+    """The shared history tables and the row-at-a-time oracle agree
+    bitwise on every signal array; the served ExampleSet carries exactly
+    the oracle's arrays for the fields the model reads (zeros elsewhere)
+    and predicts the same bits as the oracle's arrays do."""
+    import dataclasses
 
-    queries = [GapQuery(*q) for q in _queries(dataset, scale, n=12)]
-    time_ids = np.array([q.timeslot for q in queries], dtype=np.int64)
+    from repro.core import GapQuery
+    from repro.features import AreaHistory, signal_arrays
+
+    config = scale.features
+    queries = _queries(dataset, scale, n=12)
+    oracle = signals_per_row(dataset, config, queries)
+
+    area_ids, day_ids, time_ids = (np.array(column) for column in zip(*queries))
+    shared = signal_arrays(len(queries), config.window_minutes)
+    for area in np.unique(area_ids):
+        rows = np.flatnonzero(area_ids == area)
+        AreaHistory(dataset, int(area), dataset.n_days, config.window_minutes).fill(
+            shared, rows, day_ids[rows], time_ids[rows], config.gap_minutes
+        )
+    assert shared.keys() == oracle.keys()
+    for name in oracle:
+        assert np.array_equal(shared[name], oracle[name]), name
+
     service = _make_service(checkpoint, dataset, scale, use_tape=False)
     try:
         predictor = service._engine.predictor
         trainer = service._engine.trainer
-        predictor.feature_fields = "all"
-        grouped = predictor._signals_grouped(queries, time_ids)
-        oracle = signals_per_row(predictor, queries)
-        for fast, slow in zip(grouped, oracle):
-            for name in SIGNALS:
-                assert np.array_equal(fast[name], slow[name]), name
-        # The oracle's arrays through the rest of _featurize.
-        predictor._signals_grouped = lambda q, t: signals_per_row(predictor, q)
-        slow_pred = trainer.predict(predictor._featurize(queries))
-        del predictor._signals_grouped
-        for fields in ("model", "all"):
-            predictor.feature_fields = fields
-            fast_pred = trainer.predict(predictor._featurize(queries))
-            assert np.array_equal(fast_pred, slow_pred), fields
+        served = predictor._featurize([GapQuery(*q) for q in queries])
+        read = set(trainer._input_fields())
+        for name in oracle:
+            want = oracle[name] if name in read else np.zeros_like(oracle[name])
+            assert np.array_equal(getattr(served, name), want), name
+        slow = dataclasses.replace(served, **oracle)
+        assert np.array_equal(trainer.predict(served), trainer.predict(slow))
     finally:
         service.close()
